@@ -31,10 +31,12 @@ from .optimizer import (
     OptimizerConfig,
     OptimizerState,
     SmoothingWindow,
+    alpha_weights,
     dts_ag_step,
     make_state,
     smoothed_stochastic_gradient,
     step_size_at,
+    weight_sum_W,
 )
 from .tasks import TaskRound
 
@@ -313,9 +315,12 @@ def run_stream(
     """Play `horizon` rounds of the stream and return the full trace.
 
     backend None picks the active one (numba when available, else numpy);
-    'numpy' forces the portable round-by-round path; 'numba' requires the
-    compiled kernels and a sine-family stream. Both produce the same draws
-    and the same trajectories up to floating-point associativity.
+    'numpy' forces the portable path; 'numba' requires the compiled kernels
+    and a sine-family stream. Both produce the same draws and the same
+    trajectories up to floating-point associativity. The portable path
+    plays sine-family streams (those with params_upto and amplitude) in an
+    array loop that equals run_round bit for bit, and any other stream
+    through run_round itself.
     """
     from . import backends
 
@@ -343,36 +348,146 @@ def run_stream(
             **arrays,
         )
 
-    state = make_meta_state(x0, opt)
-    T, d = horizon, stream.dim
-    iterates = np.empty((T, d))
-    adapted = np.empty((T, d))
-    losses = np.empty(T)
-    grads = np.empty((T, d))
-    smoothed = np.empty((T, d))
-    steps = np.empty(T)
-    for t in range(1, T + 1):
-        rng = spawn_rng_stream(seed, t)
-        task = stream.task(t)
-        state, rec = run_round(state, task, inner, opt, rng)
-        i = t - 1
-        iterates[i] = rec.iterate
-        adapted[i] = rec.adapted
-        losses[i] = rec.loss
-        grads[i] = rec.grad
-        smoothed[i] = rec.smoothed_grad
-        steps[i] = rec.step_size
+    if backends._is_sine_stream(stream):
+        arrays = _play_sine_stream(stream, horizon, inner, opt, seed, x0)
+    else:
+        arrays = _play_round_by_round(stream, horizon, inner, opt, seed, x0)
     return RunTrace(
         seed=int(seed),
-        horizon=T,
-        dim=d,
+        horizon=horizon,
+        dim=stream.dim,
         theta=inner.theta,
-        iterates=iterates,
-        adapted=adapted,
-        losses=losses,
-        grads=grads,
-        smoothed_grads=smoothed,
-        step_sizes=steps,
         config=config,
         stream=stream,
+        **arrays,
     )
+
+
+def _trace_arrays(T: int, d: int) -> dict:
+    return {
+        "iterates": np.empty((T, d)),
+        "adapted": np.empty((T, d)),
+        "losses": np.empty(T),
+        "grads": np.empty((T, d)),
+        "smoothed_grads": np.empty((T, d)),
+        "step_sizes": np.empty(T),
+    }
+
+
+def _play_round_by_round(stream, T, inner, opt, seed, x0) -> dict:
+    """The generic path: run_round over stream.task(t), for any stream."""
+    out = _trace_arrays(T, stream.dim)
+    state = make_meta_state(x0, opt)
+    for t in range(1, T + 1):
+        state, rec = run_round(state, stream.task(t), inner, opt, spawn_rng_stream(seed, t))
+        i = t - 1
+        out["iterates"][i] = rec.iterate
+        out["adapted"][i] = rec.adapted
+        out["losses"][i] = rec.loss
+        out["grads"][i] = rec.grad
+        out["smoothed_grads"][i] = rec.smoothed_grad
+        out["step_sizes"][i] = rec.step_size
+    return out
+
+
+def _first_non_finite(v: np.ndarray) -> int:
+    return int(np.flatnonzero(~np.isfinite(v))[0])
+
+
+def _play_sine_stream(stream, T, inner, opt, seed, x0) -> dict:
+    """run_round's arithmetic for sine-family streams, over the stream's arrays.
+
+    Performs the floating-point operations of inner_adapt,
+    RoundLoss.value_and_grad, SmoothingWindow.push,
+    smoothed_stochastic_gradient and dts_ag_step in their order, so the
+    trace equals the round-by-round path bit for bit, and raises the same
+    errors at the same round. The window lives in a (2w, d) ring: the
+    newest gradient goes to a falling head index, and once per w rounds
+    the newest w - 1 rows are copied up, so the window is always the
+    contiguous newest-first block ring[head:head + occ]. One Philox is
+    re-keyed per round; a round's adaptation draw and window draw come
+    from one call, which yields the same sequence as two.
+    """
+    d = stream.dim
+    w = opt.window
+    A, B = stream.params_upto(T)
+    D = float(stream.amplitude)
+    noise = stream.noise
+    noisy = not noise.is_exact
+    coord_std = noise.coord_std(d) if noisy else 0.0
+    sqrt_tb = math.sqrt(inner.train_batch)
+    theta = float(inner.theta)
+    weights = alpha_weights(opt.alpha, w)
+    W = weight_sum_W(opt.alpha, w)
+    beta1, beta2, eps = opt.beta1, opt.beta2, opt.epsilon
+    rng = spawn_rng_stream(seed, 1)
+
+    out = _trace_arrays(T, d)
+    iterates, adapted, losses = out["iterates"], out["adapted"], out["losses"]
+    grads, smoothed, steps = out["grads"], out["smoothed_grads"], out["step_sizes"]
+    etas = [step_size_at(opt, t) for t in range(1, T + 1)]
+    steps[:] = etas
+
+    ring = np.empty((2 * w, d))
+    head = 2 * w
+    x = np.array(x0, dtype=np.float64)
+    m = np.zeros(d)
+    v = np.zeros(d)
+    for i in range(T):
+        t = i + 1
+        a = A[i]
+        b = float(B[i])
+        occ = t if t < w else w
+        if noisy:
+            z = coord_std * rng.rekey(t).standard_normal((occ + 1, d))
+        # inner_adapt
+        s = float(np.dot(a, x)) + b
+        g_in = (D * math.cos(s)) * a
+        if noisy:
+            xhat = x - theta * (g_in + z[0] / sqrt_tb)
+        else:
+            xhat = x - theta * g_in
+        if not np.isfinite(xhat).all():
+            raise NumericError(
+                f"inner adaptation non-finite at coordinate {_first_non_finite(xhat)}"
+            )
+        # RoundLoss.value_and_grad; with exact gradients U(x) is xhat's expression
+        u = x - theta * g_in if noisy else xhat
+        su = float(np.dot(a, u)) + b
+        val = D * math.sin(su)
+        g_out = (D * math.cos(su)) * a
+        corr = (-D * math.sin(s)) * float(np.dot(a, g_out)) * a
+        g = g_out - theta * corr
+        if not (math.isfinite(val) and np.isfinite(g).all()):
+            raise NumericError(f"round {t} produced a non-finite loss or gradient")
+        # SmoothingWindow.push
+        if head == 0:
+            ring[w + 1 :] = ring[: w - 1]
+            head = w + 1
+        head -= 1
+        ring[head] = g
+        # smoothed_stochastic_gradient
+        rows = ring[head : head + occ]
+        if noisy:
+            rows = rows + z[1:]
+        gt = (weights[:occ, None] * rows).sum(axis=0) / W
+        if not np.isfinite(gt).all():
+            raise NumericError(
+                f"smoothed gradient has a non-finite entry at coordinate {_first_non_finite(gt)}"
+            )
+        # dts_ag_step
+        m = beta1 * m + gt
+        v = beta2 * v + gt * gt
+        x_new = x - etas[i] * m / np.sqrt(eps + v)
+        if not np.isfinite(x_new).all():
+            raise NumericError(
+                "update produced a non-finite iterate at coordinate "
+                f"{_first_non_finite(x_new)} (round {t})"
+            )
+        iterates[i] = x
+        adapted[i] = xhat
+        losses[i] = val
+        grads[i] = g
+        smoothed[i] = gt
+        x = x_new
+    return out

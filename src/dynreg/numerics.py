@@ -106,29 +106,56 @@ def finite_difference_gradient(f, x, h: float = 1e-5) -> np.ndarray:
 _UINT64_SPAN = 1 << 64
 
 
+def _check_key_part(name: str, value) -> int:
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    if not (0 <= int(value) < _UINT64_SPAN):
+        raise ConfigError(f"{name} must be in [0, 2^64), got {value}")
+    return int(value)
+
+
 class RngStream:
     """Deterministic random stream identified by (seed, stream_id).
 
     Wraps a counter-based Philox generator keyed by the pair, so streams with
     distinct ids are statistically independent and reproducible regardless of
-    how many draws other streams have made.
+    how many draws other streams have made. The 128-bit key is
+    (seed << 64) | stream_id, i.e. the key words [stream_id, seed].
     """
 
-    __slots__ = ("seed", "stream_id", "_gen")
+    __slots__ = ("seed", "stream_id", "_gen", "_state")
 
     def __init__(self, seed: int, stream_id: int):
-        if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool):
-            raise ConfigError(f"seed must be an integer, got {seed!r}")
-        if not isinstance(stream_id, (int, np.integer)) or isinstance(stream_id, bool):
-            raise ConfigError(f"stream_id must be an integer, got {stream_id!r}")
-        if not (0 <= int(seed) < _UINT64_SPAN):
-            raise ConfigError(f"seed must be in [0, 2^64), got {seed}")
-        if not (0 <= int(stream_id) < _UINT64_SPAN):
-            raise ConfigError(f"stream_id must be in [0, 2^64), got {stream_id}")
-        self.seed = int(seed)
-        self.stream_id = int(stream_id)
+        self.seed = _check_key_part("seed", seed)
+        self.stream_id = _check_key_part("stream_id", stream_id)
         key = (self.seed << 64) | self.stream_id
         self._gen = np.random.Generator(np.random.Philox(key=key))
+        self._state = None
+
+    def rekey(self, stream_id: int) -> "RngStream":
+        """Switch in place to the stream (seed, stream_id); returns self.
+
+        Resets the Philox counter, its output buffer and its cached uint32,
+        so the draws that follow equal those of a fresh
+        spawn_rng_stream(seed, stream_id), at a fraction of its cost.
+        """
+        sid = _check_key_part("stream_id", stream_id)
+        if self._state is None:
+            self._state = {
+                "bit_generator": "Philox",
+                "state": {
+                    "counter": np.zeros(4, dtype=np.uint64),
+                    "key": np.array([0, self.seed], dtype=np.uint64),
+                },
+                "buffer": np.zeros(4, dtype=np.uint64),
+                "buffer_pos": 4,
+                "has_uint32": 0,
+                "uinteger": 0,
+            }
+        self._state["state"]["key"][0] = sid
+        self._gen.bit_generator.state = self._state
+        self.stream_id = sid
+        return self
 
     def standard_normal(self, size=None) -> np.ndarray | float:
         return self._gen.standard_normal(size)

@@ -85,9 +85,18 @@ def loss_constants(amplitude: float, freq_scale: float) -> LossConstants:
     return LossConstants(
         D=amplitude,
         L=amplitude * freq_scale,
-        gamma=amplitude * freq_scale**2,
-        H=amplitude * freq_scale**3,
+        gamma=amplitude * _power(freq_scale, 2),
+        H=amplitude * _power(freq_scale, 3),
     )
+
+
+def _power(base: float, k: int) -> float:
+    """base**k, or inf where it overflows (float pow raises OverflowError
+    there), so that LossConstants reports the overflow as a ConfigError."""
+    try:
+        return base**k
+    except OverflowError:
+        return math.inf
 
 
 def sub_gaussian_scale(sigma: float, dim: int) -> float:
@@ -244,16 +253,26 @@ class _SineStreamBase:
     def constants(self) -> LossConstants:
         return self._constants
 
-    def _fill(self, A: np.ndarray, B: np.ndarray) -> None:
+    def _extend(self, A: np.ndarray, B: np.ndarray, lo: int) -> None:
+        """Generate rows lo.. of A and B, resuming the parameter walk."""
         raise NotImplementedError
 
     def _ensure(self, rounds: int) -> None:
-        if rounds <= self._B.size:
+        filled = self._B.size
+        if rounds <= filled:
             return
-        n = max(rounds, 2 * self._B.size, 64)
+        n = max(rounds, 2 * filled, 64)
         A = np.empty((n, self.dim))
         B = np.empty(n)
-        self._fill(A, B)
+        A[:filled] = self._A
+        B[:filled] = self._B
+        if filled == 0:
+            # the walk state after the last generated row: generator, unit
+            # direction and phase
+            self._gen = spawn_rng_stream(self.seed, PARAM_STREAM_ID)
+            self._u = _unit(self._gen.standard_normal(self.dim))
+            self._b = float(self._gen.uniform(0.0, 2.0 * math.pi))
+        self._extend(A, B, filled)
         self._A, self._B = A, B
 
     def params_upto(self, rounds: int):
@@ -296,25 +315,26 @@ class SineDriftStream(_SineStreamBase):
             raise ConfigError(f"drift_rate must be finite and >= 0, got {drift_rate}")
         self.drift_rate = float(drift_rate)
 
-    def _fill(self, A: np.ndarray, B: np.ndarray) -> None:
+    def _extend(self, A: np.ndarray, B: np.ndarray, lo: int) -> None:
         n = B.size
-        gen = spawn_rng_stream(self.seed, PARAM_STREAM_ID)
-        u = _unit(gen.standard_normal(self.dim))
-        b = float(gen.uniform(0.0, 2.0 * math.pi))
-        A[0] = self.freq_scale * u
-        B[0] = b
+        if lo == 0:
+            A[0] = self.freq_scale * self._u
+            B[0] = self._b
+            lo = 1
         if self.drift_rate == 0.0:
-            A[1:] = A[0]
-            B[1:] = b
+            A[lo:] = A[0]
+            B[lo:] = B[0]
             return
         step = self.drift_rate / math.sqrt(self.dim)
-        for t in range(1, n):
-            z = gen.standard_normal(self.dim)
-            phi = float(gen.standard_normal())
-            u = _unit(u + step * z)
-            b = b + self.drift_rate * phi
+        # per row: dim normals for the direction step, then one for the phase
+        Z = self._gen.standard_normal((n - lo, self.dim + 1))
+        u, b = self._u, self._b
+        for t, z in zip(range(lo, n), Z):
+            u = _unit(u + step * z[:-1])
+            b = b + self.drift_rate * float(z[-1])
             A[t] = self.freq_scale * u
             B[t] = b
+        self._u, self._b = u, b
 
     def spec(self) -> dict:
         return {
@@ -349,23 +369,27 @@ class PiecewiseDriftStream(_SineStreamBase):
         self.segment_length = int(segment_length)
         self.jump_scale = float(jump_scale)
 
-    def _fill(self, A: np.ndarray, B: np.ndarray) -> None:
+    def _extend(self, A: np.ndarray, B: np.ndarray, lo: int) -> None:
         n = B.size
-        segments = (n + self.segment_length - 1) // self.segment_length
-        gen = spawn_rng_stream(self.seed, PARAM_STREAM_ID)
-        u = _unit(gen.standard_normal(self.dim))
-        b = float(gen.uniform(0.0, 2.0 * math.pi))
+        L = self.segment_length
+        if lo == 0:
+            self._segment = 0  # the segment that (_u, _b) belong to
+        first, last = lo // L, (n - 1) // L
+        jumps = self.jump_scale > 0.0
+        if jumps:
+            # per new segment: dim normals for the direction, one for the phase
+            Z = iter(self._gen.standard_normal((last - self._segment, self.dim + 1)))
         step = self.jump_scale / math.sqrt(self.dim)
-        for k in range(segments):
-            if k > 0 and self.jump_scale > 0.0:
-                z = gen.standard_normal(self.dim)
-                phi = float(gen.standard_normal())
-                u = _unit(u + step * z)
-                b = b + self.jump_scale * phi
-            lo = k * self.segment_length
-            hi = min(n, lo + self.segment_length)
-            A[lo:hi] = self.freq_scale * u
-            B[lo:hi] = b
+        for k in range(first, last + 1):
+            if k > self._segment:
+                if jumps:
+                    z = next(Z)
+                    self._u = _unit(self._u + step * z[:-1])
+                    self._b = self._b + self.jump_scale * float(z[-1])
+                self._segment = k
+            rows = slice(max(lo, k * L), min(n, (k + 1) * L))
+            A[rows] = self.freq_scale * self._u
+            B[rows] = self._b
 
     def spec(self) -> dict:
         return {

@@ -103,6 +103,19 @@ def test_invalid_settings_exit_with_config_error(tmp_path, capsys):
     assert "beta1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["run", "bounds"])
+@pytest.mark.parametrize(
+    "settings",
+    [("stream.freq_scale=1e200",), ("stream.amplitude=1e308", "stream.freq_scale=10")],
+    ids=["freq-scale-power", "amplitude-product"],
+)
+def test_overflowing_stream_constants_exit_with_config_error(tmp_path, capsys, command, settings):
+    overrides = [arg for setting in settings for arg in ("--set", setting)]
+    rc = cli.main([command, *FAST, *overrides, "--out", str(tmp_path)])
+    assert rc == 2
+    assert "config error" in capsys.readouterr().err
+
+
 def test_bounds_writes_a_report_per_theorem(tmp_path, capsys):
     rc = cli.main(["bounds", *FAST, "--out", str(tmp_path)])
     assert rc == 0

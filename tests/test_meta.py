@@ -1,6 +1,7 @@
 """Round mechanics of the online meta-learner and full-run traces."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from dynreg import (
     EXACT,
     GAUSSIAN,
+    SUBGAUSSIAN,
     ConfigError,
     DimensionError,
     InnerAdaptConfig,
@@ -21,6 +23,7 @@ from dynreg import (
     make_config_adam,
     make_drifting_sine_stream,
     make_meta_state,
+    make_piecewise_drift_stream,
     run_round,
     run_stream,
     smoothed_stochastic_gradient,
@@ -118,14 +121,42 @@ def test_run_round_matches_manual_composition():
     assert state.window.occupied == 1
 
 
-def test_run_stream_numpy_equals_manual_round_loop():
-    stream = _stream()
-    inner = InnerAdaptConfig(theta=0.05)
-    opt = make_config_adagrad(eta=0.2, alpha=0.9, window=4)
-    trace = run_stream(stream, 25, inner, opt, seed=5, backend="numpy")
+def _round_loop_case(dim=3, noise=None, piecewise=False):
+    noise = NoiseModel(GAUSSIAN, sigma=0.5) if noise is None else noise
+    if piecewise:
+        return make_piecewise_drift_stream(
+            dim=dim, segment_length=7, jump_scale=0.4, freq_scale=1.3, noise=noise, seed=5
+        )
+    return make_drifting_sine_stream(dim=dim, drift_rate=0.05, noise=noise, seed=5)
 
-    state = make_meta_state(np.zeros(3), opt)
-    for t in range(1, 26):
+
+ENGINE_CASES = {
+    "gaussian-w4": (_round_loop_case(), make_config_adagrad(eta=0.2, alpha=0.9, window=4), 25),
+    "w1": (_round_loop_case(), make_config_adagrad(eta=0.2, alpha=0.9, window=1), 12),
+    "ring-wraps": (_round_loop_case(), make_config_adagrad(eta=0.2, alpha=1.0, window=3), 40),
+    "exact": (
+        _round_loop_case(noise=NoiseModel(EXACT)),
+        make_config_adagrad(eta=0.2, alpha=0.9, window=4),
+        25,
+    ),
+    "piecewise-subgaussian-momentum": (
+        _round_loop_case(noise=NoiseModel(SUBGAUSSIAN, sigma=0.9), piecewise=True),
+        make_config_adam(eta=0.05, beta1=0.9, beta2=0.99, alpha=0.8, window=5),
+        30,
+    ),
+    "d1": (_round_loop_case(dim=1), make_config_adagrad(eta=0.2, alpha=0.9, window=4), 25),
+}
+
+
+@pytest.mark.parametrize("case", list(ENGINE_CASES))
+def test_run_stream_numpy_equals_manual_round_loop(case):
+    stream, opt, T = ENGINE_CASES[case]
+    inner = InnerAdaptConfig(theta=0.05, train_batch=3)
+    x0 = np.linspace(-0.5, 0.5, stream.dim)
+    trace = run_stream(stream, T, inner, opt, seed=5, x0=x0, backend="numpy")
+
+    state = make_meta_state(x0, opt)
+    for t in range(1, T + 1):
         state, rec = run_round(state, stream.task(t), inner, opt, spawn_rng_stream(5, t))
         i = t - 1
         assert np.array_equal(trace.iterates[i], rec.iterate)
@@ -134,6 +165,53 @@ def test_run_stream_numpy_equals_manual_round_loop():
         assert np.array_equal(trace.grads[i], rec.grad)
         assert np.array_equal(trace.smoothed_grads[i], rec.smoothed_grad)
         assert trace.step_sizes[i] == rec.step_size
+
+
+def _numeric_error(fn) -> str:
+    with pytest.raises(NumericError) as info:
+        fn()
+    return str(info.value)
+
+
+# (dim, amplitude, sigma, theta, eta, x0 coordinate, expected message)
+NON_FINITE_CASES = {
+    "adapt": (1, 1.0, 1e308, 1.0, 0.2, 1.7e308, r"inner adaptation non-finite at coordinate 0"),
+    "round-loss": (
+        3, 1e308, 0.5, 0.05, 0.2, 0.0, r"round 1 produced a non-finite loss or gradient"
+    ),
+    "smoothed": (
+        3, 1.0, 1e308, 0.05, 0.2, 0.0, r"smoothed gradient has a non-finite entry at coordinate \d"
+    ),
+    "iterate": (
+        3, 1.0, 0.5, 0.05, 1e308, 1.5e308,
+        r"update produced a non-finite iterate at coordinate \d \(round 1\)",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(NON_FINITE_CASES))
+def test_run_stream_reports_non_finite_rounds_like_the_round_loop(case):
+    dim, amplitude, sigma, theta, eta, x0, expected = NON_FINITE_CASES[case]
+    noise = NoiseModel(GAUSSIAN, sigma=sigma)
+    stream = make_drifting_sine_stream(
+        dim=dim, amplitude=amplitude, drift_rate=0.05, noise=noise, seed=5
+    )
+    inner = InnerAdaptConfig(theta=theta, train_batch=1)
+    opt = make_config_adagrad(eta=eta, alpha=1.0, window=4)
+    x0 = np.full(dim, x0)
+
+    def engine():
+        run_stream(stream, 5, inner, opt, seed=2, x0=x0, backend="numpy")
+
+    def round_loop():
+        state = make_meta_state(x0, opt)
+        for t in range(1, 6):
+            state, _ = run_round(state, stream.task(t), inner, opt, spawn_rng_stream(2, t))
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        message = _numeric_error(engine)
+        assert message == _numeric_error(round_loop)
+    assert re.fullmatch(expected, message)
 
 
 def test_trace_round_loss_reproduces_recorded_values():

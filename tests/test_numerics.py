@@ -105,6 +105,38 @@ def test_rng_stream_validates_key_parts():
         RngStream(0, 2.5)
 
 
+def _mixed_draws(rng):
+    # an odd count of small integers leaves a cached uint32 behind, and the
+    # draws end part-way through a Philox output block
+    return [
+        rng.standard_normal(3),
+        rng.integers(0, 10, size=3),
+        rng.uniform(-1.0, 2.0, size=2),
+        rng.integers(0, 1 << 40, size=2),
+        rng.standard_normal((2, 3)),
+        rng.integers(5, 9, size=1),
+    ]
+
+
+@pytest.mark.parametrize("seed", [0, 12, (1 << 64) - 1])
+def test_rng_stream_rekey_equals_a_fresh_stream(seed):
+    rng = spawn_rng_stream(seed, 0)
+    _mixed_draws(rng)
+    for stream_id in (1, 7, (1 << 64) - 1, 1):
+        assert rng.rekey(stream_id) is rng
+        assert rng.stream_id == stream_id
+        fresh = spawn_rng_stream(seed, stream_id)
+        for got, want in zip(_mixed_draws(rng), _mixed_draws(fresh)):
+            assert np.array_equal(got, want)
+
+
+def test_rng_stream_rekey_validates_the_stream_id():
+    rng = spawn_rng_stream(3, 1)
+    for bad in (-1, 1 << 64, 2.5, True):
+        with pytest.raises(ConfigError):
+            rng.rekey(bad)
+
+
 def test_rng_stream_integers_method():
     vals = spawn_rng_stream(0, 0).integers(1, 5, size=100)
     assert vals.min() >= 1

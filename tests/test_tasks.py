@@ -20,6 +20,7 @@ from dynreg import (
     spawn_rng_stream,
     sub_gaussian_scale,
 )
+from dynreg import tasks
 from dynreg.numerics import finite_difference_gradient
 
 
@@ -119,6 +120,41 @@ def test_drifting_stream_deterministic_and_prefix_stable():
     two = make_drifting_sine_stream(dim=4, drift_rate=0.1, seed=9)
     assert np.array_equal(A_big, two.params_upto(400)[0])
     assert np.array_equal(t5.sine.freq, A_big[4])
+
+
+GROWTH_STREAMS = {
+    "drifting": lambda: make_drifting_sine_stream(dim=4, drift_rate=0.1, seed=9),
+    "drifting-still": lambda: make_drifting_sine_stream(dim=2, drift_rate=0.0, seed=3),
+    "piecewise": lambda: make_piecewise_drift_stream(
+        dim=3, segment_length=37, jump_scale=0.4, seed=1
+    ),
+    "piecewise-still": lambda: make_piecewise_drift_stream(
+        dim=3, segment_length=5, jump_scale=0.0, seed=1
+    ),
+}
+
+
+@pytest.mark.parametrize("family", list(GROWTH_STREAMS))
+def test_streams_grow_in_place(family, monkeypatch):
+    # task(t) round by round grows the buffer by doubling up to 1024 rows;
+    # the rows must equal one params_upto(1024) call, and the walk must be
+    # resumed, not replayed: one unit-vector normalisation per drawn row or
+    # segment, as in the one-shot call
+    T = 1024
+    calls = []
+    real_unit = tasks._unit
+    monkeypatch.setattr(tasks, "_unit", lambda v: calls.append(1) or real_unit(v))
+    grown = GROWTH_STREAMS[family]()
+    for t in range(1, T + 1):
+        grown.task(t)
+    grown_calls = len(calls)
+    calls.clear()
+    one_shot = GROWTH_STREAMS[family]()
+    A, B = one_shot.params_upto(T)
+    A_grown, B_grown = grown.params_upto(T)
+    assert np.array_equal(A, A_grown)
+    assert np.array_equal(B, B_grown)
+    assert grown_calls == len(calls)
 
 
 def test_drifting_stream_zero_rate_is_stationary():
