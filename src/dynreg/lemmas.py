@@ -20,7 +20,7 @@ from math import fsum
 import numpy as np
 
 from .meta import InnerAdaptConfig, RunTrace, run_stream
-from .numerics import ConfigError, spawn_rng_stream
+from .numerics import ConfigError, geometric_sum, spawn_rng_stream
 from .optimizer import alpha_weights, make_config_adagrad, weight_sum_W
 from .regret import exact_smoothed_gradient, variance_proxy
 from .tasks import GAUSSIAN, SUBGAUSSIAN, NoiseModel, make_drifting_sine_stream
@@ -259,18 +259,17 @@ def check_quadratic(
 
 
 def _drift_bounds(D: float, w: int, alpha: float) -> tuple[float, float]:
-    """Forward and backward drift bounds of the smoothed objective, with
-    exact alpha = 1 limits."""
+    """Forward and backward drift bounds of the smoothed objective.
+
+    (1 - alpha^k) / (1 - alpha) is the geometric sum of k terms, evaluated
+    without cancellation as alpha -> 1 and exactly k at alpha = 1; with
+    k = w it equals W, so the backward bound is 2D for every alpha.
+    """
     W = weight_sum_W(alpha, w)
-    if alpha == 1.0:
-        fwd = 2.0 * D / w + 2.0 * D * (w - 1) / w
-        back = 2.0 * D
-    else:
-        fwd = D * (1.0 + alpha ** (w - 1)) / W + D * (1.0 - alpha ** (w - 1)) * (
-            1.0 + alpha
-        ) / (W * (1.0 - alpha))
-        back = 2.0 * D * (1.0 - alpha**w) / (W * (1.0 - alpha))
-    return fwd, back
+    fwd = D * (1.0 + alpha ** (w - 1)) / W + D * geometric_sum(math.log(alpha), w - 1) * (
+        1.0 + alpha
+    ) / W
+    return fwd, 2.0 * D
 
 
 def check_objective_drift(

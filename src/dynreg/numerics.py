@@ -20,6 +20,7 @@ __all__ = [
     "l2_norm_sq",
     "elementwise_combine",
     "finite_difference_gradient",
+    "geometric_sum",
     "RngStream",
     "spawn_rng_stream",
 ]
@@ -101,6 +102,19 @@ def finite_difference_gradient(f, x, h: float = 1e-5) -> np.ndarray:
             )
         grad[i] = (fp - fm) / (2.0 * h)
     return grad
+
+
+def geometric_sum(log_ratio: float, n: int) -> float:
+    """sum_{r<n} q^r for a ratio 0 < q <= 1 given as log_ratio = log(q).
+
+    Evaluated as expm1(n log q) / expm1(log q), which keeps full relative
+    precision as q -> 1, where (1 - q^n) / (1 - q) cancels; log_ratio = 0
+    (q = 1) gives n exactly. Pass log_ratio = k * log(alpha) for the ratio
+    alpha^k rather than the log of a rounded power.
+    """
+    if log_ratio == 0.0:
+        return float(n)
+    return math.expm1(n * log_ratio) / math.expm1(log_ratio)
 
 
 _UINT64_SPAN = 1 << 64

@@ -23,7 +23,14 @@ from typing import Optional
 
 import numpy as np
 
-from .numerics import ConfigError, DimensionError, NumericError, RngStream, as_vector
+from .numerics import (
+    ConfigError,
+    DimensionError,
+    NumericError,
+    RngStream,
+    as_vector,
+    geometric_sum,
+)
 from .tasks import NoiseModel
 
 __all__ = [
@@ -133,14 +140,12 @@ def make_state(dim: int) -> OptimizerState:
 
 
 def weight_sum_W(alpha: float, window: int) -> float:
-    """W = sum_{r=0}^{w-1} alpha^r, with the exact value w at alpha = 1."""
+    """W = sum_{r=0}^{w-1} alpha^r, accurate as alpha -> 1 and exactly w at 1."""
     if not (0.0 < alpha <= 1.0):
         raise ConfigError(f"alpha must be in (0, 1], got {alpha}")
     if not isinstance(window, (int, np.integer)) or window < 1:
         raise ConfigError(f"window must be an integer >= 1, got {window!r}")
-    if alpha == 1.0:
-        return float(window)
-    return (1.0 - alpha ** int(window)) / (1.0 - alpha)
+    return geometric_sum(math.log(alpha), int(window))
 
 
 def alpha_weights(alpha: float, window: int) -> np.ndarray:

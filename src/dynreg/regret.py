@@ -25,7 +25,7 @@ import numpy as np
 
 from . import backends
 from .meta import RunTrace
-from .numerics import ConfigError, DimensionError
+from .numerics import ConfigError, DimensionError, geometric_sum
 from .optimizer import ADAM_SCHEDULE, CONSTANT, OptimizerConfig, alpha_weights, weight_sum_W
 from .tasks import LossConstants, NoiseModel, sub_gaussian_scale
 
@@ -184,11 +184,8 @@ class VarianceProxy:
 
 
 def _sq_weight_sum(alpha: float, w: int) -> float:
-    """sum_{r<w} alpha^(2r), with the exact value w at alpha = 1."""
-    if alpha == 1.0:
-        return float(w)
-    a2 = alpha * alpha
-    return (1.0 - a2**w) / (1.0 - a2)
+    """sum_{r<w} alpha^(2r), accurate as alpha -> 1 and exactly w at 1."""
+    return geometric_sum(2.0 * math.log(alpha), w)
 
 
 def variance_proxy(

@@ -1,5 +1,8 @@
 """The numerical lemma harness: clean grids pass, corruption is caught."""
 
+import sys
+from math import fsum
+
 import pytest
 
 from dynreg import (
@@ -15,6 +18,7 @@ from dynreg import (
     run_stream,
 )
 from dynreg.lemmas import (
+    _drift_bounds,
     check_objective_drift,
     check_quadratic,
     mc_smoothed_gradient_lemmas,
@@ -116,6 +120,18 @@ def test_objective_drift_needs_stream_constants():
     object.__setattr__(trace, "stream", None)
     with pytest.raises(ConfigError):
         check_objective_drift(trace, 1, 1.0)
+
+
+@pytest.mark.parametrize("w", [1, 2, 16, 1000])
+@pytest.mark.parametrize("alpha", [0.5, 0.99, 1 - 1e-10, 1 - 1e-12, 1 - 2**-52, 1.0])
+def test_objective_drift_bounds_keep_precision_as_alpha_tends_to_one(alpha, w):
+    D = 1.5
+    W = fsum(alpha**r for r in range(w))
+    head = fsum(alpha**r for r in range(w - 1))  # (1 - alpha^(w-1)) / (1 - alpha)
+    fwd = D * (1.0 + alpha ** (w - 1)) / W + D * head * (1.0 + alpha) / W
+    got_fwd, got_back = _drift_bounds(D, w, alpha)
+    assert got_fwd == pytest.approx(fwd, rel=8 * sys.float_info.epsilon, abs=0.0)
+    assert got_back == 2.0 * D
 
 
 def test_mc_smoothed_gradient_checks_pass_at_reduced_size():

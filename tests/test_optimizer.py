@@ -27,6 +27,7 @@ from dynreg import (
     step_size_at,
     weight_sum_W,
 )
+from dynreg.regret import _sq_weight_sum
 
 
 class _FixedGrad:
@@ -48,6 +49,40 @@ def test_weight_sum_exact_small_cases():
 def test_weight_sum_matches_direct_sum():
     direct = fsum(0.9**r for r in range(10))
     assert weight_sum_W(0.9, 10) == pytest.approx(direct, rel=1e-13)
+
+
+# float64 relative tolerance fixed before measuring: 4 ulps (the worst seen is 2)
+GEOM_RTOL = 4 * np.finfo(np.float64).eps
+GEOM_ALPHAS = (1e-300, 0.25, 0.5, 0.9, 0.99, 1 - 1e-6, 1 - 1e-10, 1 - 1e-12, 1 - 2**-52, 1.0)
+
+
+def _rel_err(value, reference):
+    return abs(value / reference - 1.0)
+
+
+@pytest.mark.parametrize("window", [1, 2, 16, 64, 1000])
+@pytest.mark.parametrize("alpha", GEOM_ALPHAS)
+def test_weight_sums_keep_full_precision_as_alpha_tends_to_one(alpha, window):
+    W = fsum(alpha**r for r in range(window))
+    W2 = fsum(alpha ** (2 * r) for r in range(window))
+    assert _rel_err(weight_sum_W(alpha, window), W) <= GEOM_RTOL
+    assert _rel_err(_sq_weight_sum(alpha, window), W2) <= GEOM_RTOL
+
+
+@given(
+    st.one_of(
+        st.floats(min_value=1e-300, max_value=1.0),
+        st.floats(min_value=-16.0, max_value=-1.0).map(lambda e: 1.0 - 10.0**e),
+    ),
+    st.integers(min_value=1, max_value=1000),
+)
+@settings(max_examples=80, deadline=None)
+def test_weight_sums_match_fsum_over_the_alpha_range(alpha, window):
+    assert _rel_err(weight_sum_W(alpha, window), fsum(alpha**r for r in range(window))) <= (
+        GEOM_RTOL
+    )
+    W2 = fsum(alpha ** (2 * r) for r in range(window))
+    assert _rel_err(_sq_weight_sum(alpha, window), W2) <= GEOM_RTOL
 
 
 def test_weight_sum_validates():
