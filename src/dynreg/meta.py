@@ -338,17 +338,7 @@ def run_stream(
 
     if chosen == "numba":
         arrays = backends.run_stream_arrays(stream, horizon, inner, opt, seed, x0)
-        return RunTrace(
-            seed=int(seed),
-            horizon=horizon,
-            dim=stream.dim,
-            theta=inner.theta,
-            config=config,
-            stream=stream,
-            **arrays,
-        )
-
-    if backends._is_sine_stream(stream):
+    elif backends._is_sine_stream(stream):
         arrays = _play_sine_stream(stream, horizon, inner, opt, seed, x0)
     else:
         arrays = _play_round_by_round(stream, horizon, inner, opt, seed, x0)

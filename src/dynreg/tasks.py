@@ -368,12 +368,11 @@ class PiecewiseDriftStream(_SineStreamBase):
             raise ConfigError(f"jump_scale must be finite and >= 0, got {jump_scale}")
         self.segment_length = int(segment_length)
         self.jump_scale = float(jump_scale)
+        self._segment = 0  # the segment the walk state (_u, _b) belongs to
 
     def _extend(self, A: np.ndarray, B: np.ndarray, lo: int) -> None:
         n = B.size
         L = self.segment_length
-        if lo == 0:
-            self._segment = 0  # the segment that (_u, _b) belong to
         first, last = lo // L, (n - 1) // L
         jumps = self.jump_scale > 0.0
         if jumps:
