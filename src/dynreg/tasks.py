@@ -222,7 +222,7 @@ def make_sine_task(
 
 
 def _unit(v: np.ndarray) -> np.ndarray:
-    n = float(np.linalg.norm(v))
+    n = math.sqrt(float(v.dot(v)))  # np.linalg.norm's arithmetic, without its overhead
     if n == 0.0:  # pragma: no cover - probability zero
         out = np.zeros_like(v)
         out[0] = 1.0
@@ -328,13 +328,14 @@ class SineDriftStream(_SineStreamBase):
         step = self.drift_rate / math.sqrt(self.dim)
         # per row: dim normals for the direction step, then one for the phase
         Z = self._gen.standard_normal((n - lo, self.dim + 1))
-        u, b = self._u, self._b
-        for t, z in zip(range(lo, n), Z):
-            u = _unit(u + step * z[:-1])
-            b = b + self.drift_rate * float(z[-1])
-            A[t] = self.freq_scale * u
-            B[t] = b
-        self._u, self._b = u, b
+        u = self._u
+        for t, z in zip(range(lo, n), Z[:, :-1]):
+            u = _unit(u + step * z)
+            A[t] = u
+        A[lo:] *= self.freq_scale
+        # the phase walk b_t = b_{t-1} + drift_rate * phi_t, accumulated in order
+        B[lo - 1 :] = np.add.accumulate(np.concatenate(([self._b], self.drift_rate * Z[:, -1])))
+        self._u, self._b = u, float(B[-1])
 
     def spec(self) -> dict:
         return {
