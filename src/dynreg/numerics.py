@@ -154,7 +154,7 @@ class RngStream:
         spawn_rng_stream(seed, stream_id), at a fraction of its cost.
         """
         sid = _check_key_part("stream_id", stream_id)
-        if self._state is None:
+        if self._state is None:  # built on first use: most streams are never re-keyed
             self._state = {
                 "bit_generator": "Philox",
                 "state": {

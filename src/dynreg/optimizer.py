@@ -145,6 +145,8 @@ def weight_sum_W(alpha: float, window: int) -> float:
         raise ConfigError(f"alpha must be in (0, 1], got {alpha}")
     if not isinstance(window, (int, np.integer)) or window < 1:
         raise ConfigError(f"window must be an integer >= 1, got {window!r}")
+    if alpha == 1.0:
+        return float(window)
     return geometric_sum(math.log(alpha), int(window))
 
 

@@ -185,6 +185,8 @@ class VarianceProxy:
 
 def _sq_weight_sum(alpha: float, w: int) -> float:
     """sum_{r<w} alpha^(2r), accurate as alpha -> 1 and exactly w at 1."""
+    if alpha == 1.0:
+        return float(w)
     return geometric_sum(2.0 * math.log(alpha), w)
 
 
