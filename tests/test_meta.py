@@ -121,41 +121,33 @@ def test_run_round_matches_manual_composition():
     assert state.window.occupied == 1
 
 
-def _round_loop_case(dim=3, noise=None, piecewise=False):
-    noise = NoiseModel(GAUSSIAN, sigma=0.5) if noise is None else noise
-    if piecewise:
-        return make_piecewise_drift_stream(
-            dim=dim, segment_length=7, jump_scale=0.4, freq_scale=1.3, noise=noise, seed=5
-        )
-    return make_drifting_sine_stream(dim=dim, drift_rate=0.05, noise=noise, seed=5)
-
-
+# run_stream's array loop against the run_round loop: the default shape, a
+# one-slot window, a ring that wraps many times, exact gradients, the
+# piecewise stream with sub-Gaussian noise under the momentum preset, d = 1
 ENGINE_CASES = {
-    "gaussian-w4": (_round_loop_case(), make_config_adagrad(eta=0.2, alpha=0.9, window=4), 25),
-    "w1": (_round_loop_case(), make_config_adagrad(eta=0.2, alpha=0.9, window=1), 12),
-    "ring-wraps": (_round_loop_case(), make_config_adagrad(eta=0.2, alpha=1.0, window=3), 40),
-    "exact": (
-        _round_loop_case(noise=NoiseModel(EXACT)),
-        make_config_adagrad(eta=0.2, alpha=0.9, window=4),
-        25,
-    ),
+    "gaussian-w4": (_stream(), make_config_adagrad(eta=0.2, alpha=0.9, window=4), 25),
+    "w1": (_stream(), make_config_adagrad(eta=0.2, alpha=0.9, window=1), 12),
+    "ring-wraps": (_stream(), make_config_adagrad(eta=0.2, alpha=1.0, window=3), 40),
+    "exact": (_stream(sigma=0), make_config_adagrad(eta=0.2, alpha=0.9, window=4), 25),
     "piecewise-subgaussian-momentum": (
-        _round_loop_case(noise=NoiseModel(SUBGAUSSIAN, sigma=0.9), piecewise=True),
+        make_piecewise_drift_stream(
+            dim=3, segment_length=7, jump_scale=0.4, freq_scale=1.3,
+            noise=NoiseModel(SUBGAUSSIAN, sigma=0.9), seed=5,
+        ),
         make_config_adam(eta=0.05, beta1=0.9, beta2=0.99, alpha=0.8, window=5),
         30,
     ),
-    "d1": (_round_loop_case(dim=1), make_config_adagrad(eta=0.2, alpha=0.9, window=4), 25),
+    "d1": (_stream(dim=1), make_config_adagrad(eta=0.2, alpha=0.9, window=4), 25),
 }
 
 
 @pytest.mark.parametrize("case", list(ENGINE_CASES))
 def test_run_stream_numpy_equals_manual_round_loop(case):
     stream, opt, T = ENGINE_CASES[case]
-    inner = InnerAdaptConfig(theta=0.05, train_batch=3)
-    x0 = np.linspace(-0.5, 0.5, stream.dim)
-    trace = run_stream(stream, T, inner, opt, seed=5, x0=x0, backend="numpy")
+    inner = InnerAdaptConfig(theta=0.05)
+    trace = run_stream(stream, T, inner, opt, seed=5, backend="numpy")
 
-    state = make_meta_state(x0, opt)
+    state = make_meta_state(np.zeros(stream.dim), opt)
     for t in range(1, T + 1):
         state, rec = run_round(state, stream.task(t), inner, opt, spawn_rng_stream(5, t))
         i = t - 1
