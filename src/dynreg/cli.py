@@ -24,7 +24,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import backends
 from .config import ExperimentConfig, load_config
 from .lemmas import run_checks
 from .meta import run_stream
@@ -94,7 +93,6 @@ def _run_seed_job(payload) -> dict:
         "horizon": cfg.horizon,
         "final_dlr": dlr.total,
         "final_slr": slr.total,
-        "backend": trace.config.get("backend"),
         "wall_time_s": wall,
         "csv": csv_path.name,
         "config": cfg.snapshot(seed=seed),

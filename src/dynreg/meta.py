@@ -8,14 +8,13 @@ x via the time-smoothed adaptive step.
 
 All stochasticity of round t comes from the stream (seed, t): one adaptation
 draw, then one batched window draw. A run is therefore a pure function of
-(stream, horizon, configs, seed) regardless of execution backend.
+(stream, horizon, configs, seed), whichever loop plays it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
@@ -38,7 +37,7 @@ from .optimizer import (
     step_size_at,
     weight_sum_W,
 )
-from .tasks import TaskRound
+from .tasks import TaskRound, is_sine_stream
 
 __all__ = [
     "InnerAdaptConfig",
@@ -271,7 +270,7 @@ class RunTrace:
         )
 
 
-def _snapshot(stream, horizon, inner, opt, seed, x0, backend) -> dict:
+def _snapshot(stream, horizon, inner, opt, seed, x0) -> dict:
     spec = stream.spec() if hasattr(stream, "spec") else {"family": "custom"}
     noise = getattr(stream, "noise", None)
     noise_spec = (
@@ -299,7 +298,6 @@ def _snapshot(stream, horizon, inner, opt, seed, x0, backend) -> dict:
         },
         "smoothing": {"alpha": opt.alpha, "window": opt.window},
         "init": [float(v) for v in x0],
-        "backend": backend,
     }
 
 
@@ -310,20 +308,13 @@ def run_stream(
     opt: OptimizerConfig,
     seed: int,
     x0=None,
-    backend: Optional[str] = None,
 ) -> RunTrace:
     """Play `horizon` rounds of the stream and return the full trace.
 
-    backend None picks the active one (numba when available, else numpy);
-    'numpy' forces the portable path; 'numba' requires the compiled kernels
-    and a sine-family stream. Both produce the same draws and the same
-    trajectories up to floating-point associativity. The portable path
-    plays sine-family streams (those with params_upto and amplitude) in an
-    array loop that equals run_round bit for bit, and any other stream
-    through run_round itself.
+    Sine-family streams (those with params_upto and amplitude) are played
+    in an array loop that equals run_round bit for bit; any other stream
+    is played through run_round itself.
     """
-    from . import backends
-
     if not isinstance(horizon, (int, np.integer)) or horizon < 1:
         raise ConfigError(f"horizon must be an integer >= 1, got {horizon!r}")
     horizon = int(horizon)
@@ -333,15 +324,9 @@ def run_stream(
     if x0.size != stream.dim:
         raise DimensionError(f"x0 has length {x0.size}, stream dimension is {stream.dim}")
 
-    chosen = backends.resolve_backend(backend, stream)
-    config = _snapshot(stream, horizon, inner, opt, seed, x0, chosen)
-
-    if chosen == "numba":
-        arrays = backends.run_stream_arrays(stream, horizon, inner, opt, seed, x0)
-    elif backends._is_sine_stream(stream):
-        arrays = _play_sine_stream(stream, horizon, inner, opt, seed, x0)
-    else:
-        arrays = _play_round_by_round(stream, horizon, inner, opt, seed, x0)
+    config = _snapshot(stream, horizon, inner, opt, seed, x0)
+    play = _play_sine_stream if is_sine_stream(stream) else _play_round_by_round
+    arrays = play(stream, horizon, inner, opt, seed, x0)
     return RunTrace(
         seed=int(seed),
         horizon=horizon,

@@ -23,11 +23,10 @@ from typing import Optional
 
 import numpy as np
 
-from . import backends
 from .meta import RunTrace
 from .numerics import ConfigError, DimensionError, geometric_sum
 from .optimizer import ADAM_SCHEDULE, CONSTANT, OptimizerConfig, alpha_weights, weight_sum_W
-from .tasks import LossConstants, NoiseModel, sub_gaussian_scale
+from .tasks import LossConstants, NoiseModel, is_sine_stream, sub_gaussian_scale
 
 __all__ = [
     "ADAGRAD",
@@ -93,10 +92,10 @@ def exact_smoothed_gradient(trace: RunTrace, t: int, w: int, alpha: float) -> np
     return (weights[:, None] * rows).sum(axis=0) / W
 
 
-def dlr_cumulative(trace: RunTrace, w: int, alpha: float, backend=None) -> RegretLedger:
+def dlr_cumulative(trace: RunTrace, w: int, alpha: float) -> RegretLedger:
     """Dynamic local regret ledger of a trace."""
     _check_window(w, alpha)
-    per_round = backends.weighted_window_norms(trace.grads, int(w), float(alpha), backend)
+    per_round = _weighted_window_norms(trace.grads, int(w), float(alpha))
     return RegretLedger(
         kind="dynamic",
         window=int(w),
@@ -107,14 +106,14 @@ def dlr_cumulative(trace: RunTrace, w: int, alpha: float, backend=None) -> Regre
     )
 
 
-def slr_cumulative(trace: RunTrace, w: int, backend=None) -> RegretLedger:
+def slr_cumulative(trace: RunTrace, w: int) -> RegretLedger:
     """Static local regret ledger: past losses re-evaluated at the current iterate."""
     _check_window(w)
     stream = trace.stream
-    if stream is not None and hasattr(stream, "params_upto") and hasattr(stream, "amplitude"):
+    if is_sine_stream(stream):
         A, B = stream.params_upto(trace.horizon)
-        per_round = backends.static_window_norms_sine(
-            A, B, trace.iterates, int(w), trace.theta, stream.amplitude, backend
+        per_round = _static_window_norms_sine(
+            A, B, trace.iterates, int(w), trace.theta, stream.amplitude
         )
     else:
         per_round = _slr_generic(trace, int(w))
@@ -126,6 +125,48 @@ def slr_cumulative(trace: RunTrace, w: int, backend=None) -> RegretLedger:
         per_round=per_round,
         cumulative=np.cumsum(per_round),
     )
+
+
+def _weighted_window_norms(G, w: int, alpha: float) -> np.ndarray:
+    """Per-round squared norms of the weighted window average of rows of G."""
+    G = np.ascontiguousarray(G, dtype=np.float64)
+    T, d = G.shape
+    W = weight_sum_W(alpha, w)
+    if w == 1:
+        S = G / W
+    else:
+        padded = np.vstack([np.zeros((w - 1, d)), G])
+        win = np.lib.stride_tricks.sliding_window_view(padded, w, axis=0)  # (T, d, w)
+        # position k carries weight alpha^(w-1-k)
+        rev = np.ascontiguousarray(alpha_weights(alpha, w)[::-1])
+        S = (win @ rev) / W
+    return np.einsum("td,td->t", S, S)
+
+
+def _static_window_norms_sine(A, B, X, w: int, theta: float, D: float) -> np.ndarray:
+    """Per-round squared norms of the plain window average of past composite
+    gradients, all re-evaluated at the round's own iterate."""
+    A = np.ascontiguousarray(A, dtype=np.float64)
+    B = np.ascontiguousarray(B, dtype=np.float64)
+    X = np.ascontiguousarray(X, dtype=np.float64)
+    T = X.shape[0]
+    out = np.empty(T)
+    for t in range(1, T + 1):
+        occ = min(t, w)
+        Aw = A[t - occ : t][::-1]
+        Bw = B[t - occ : t][::-1]
+        x = X[t - 1]
+        s = Aw @ x + Bw
+        cs = np.cos(s)
+        sn = np.sin(s)
+        U = x[None, :] - theta * (D * cs)[:, None] * Aw
+        s2 = np.einsum("rd,rd->r", Aw, U) + Bw
+        c2 = np.cos(s2)
+        dot_ag = D * c2 * np.einsum("rd,rd->r", Aw, Aw)
+        F = (D * c2 + theta * D * sn * dot_ag)[:, None] * Aw
+        g = F.sum(axis=0) / w
+        out[t - 1] = float(g @ g)
+    return out
 
 
 def _slr_generic(trace: RunTrace, w: int) -> np.ndarray:

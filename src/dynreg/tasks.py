@@ -40,6 +40,7 @@ __all__ = [
     "TaskRound",
     "SineDriftStream",
     "PiecewiseDriftStream",
+    "is_sine_stream",
     "loss_constants",
     "sub_gaussian_scale",
     "make_drifting_sine_stream",
@@ -401,6 +402,13 @@ class PiecewiseDriftStream(_SineStreamBase):
             "jump_scale": self.jump_scale,
             "seed": self.seed,
         }
+
+
+def is_sine_stream(stream) -> bool:
+    """Whether a stream exposes the sine family's parameter arrays
+    (params_upto and amplitude), which the array run loop and the static
+    ledger read directly; any other stream is played through its tasks."""
+    return hasattr(stream, "params_upto") and hasattr(stream, "amplitude")
 
 
 def make_drifting_sine_stream(

@@ -14,7 +14,7 @@ from dynreg import (
 
 @pytest.fixture(scope="session")
 def gaussian_trace():
-    """A 40-round noisy drifting-sine run on the portable backend.
+    """A 40-round noisy drifting-sine run, played by the array loop.
 
     Smoothing uses alpha = 0.9 over a window of 4; several modules compare
     their ledgers and handles against this one trace.
@@ -24,4 +24,4 @@ def gaussian_trace():
     )
     inner = InnerAdaptConfig(theta=0.05)
     opt = make_config_adagrad(eta=0.2, alpha=0.9, window=4)
-    return run_stream(stream, 40, inner, opt, seed=5, backend="numpy")
+    return run_stream(stream, 40, inner, opt, seed=5)

@@ -30,7 +30,6 @@ from dynreg import (
     spawn_rng_stream,
     step_size_at,
 )
-from dynreg.backends import HAS_NUMBA
 from dynreg.numerics import finite_difference_gradient
 
 
@@ -145,7 +144,7 @@ ENGINE_CASES = {
 def test_run_stream_numpy_equals_manual_round_loop(case):
     stream, opt, T = ENGINE_CASES[case]
     inner = InnerAdaptConfig(theta=0.05)
-    trace = run_stream(stream, T, inner, opt, seed=5, backend="numpy")
+    trace = run_stream(stream, T, inner, opt, seed=5)
 
     state = make_meta_state(np.zeros(stream.dim), opt)
     for t in range(1, T + 1):
@@ -193,7 +192,7 @@ def test_run_stream_reports_non_finite_rounds_like_the_round_loop(case):
     x0 = np.full(dim, x0)
 
     def engine():
-        run_stream(stream, 5, inner, opt, seed=2, x0=x0, backend="numpy")
+        run_stream(stream, 5, inner, opt, seed=2, x0=x0)
 
     def round_loop():
         state = make_meta_state(x0, opt)
@@ -213,7 +212,6 @@ def test_trace_round_loss_reproduces_recorded_values():
         InnerAdaptConfig(theta=0.05),
         make_config_adagrad(eta=0.2, alpha=0.9, window=4),
         seed=5,
-        backend="numpy",
     )
     for t in (1, 7, 12):
         rl = trace.round_loss(t)
@@ -229,22 +227,9 @@ def test_trace_round_loss_reproduces_recorded_values():
 
 def test_trace_step_sizes_follow_the_schedule():
     opt = make_config_adam(eta=0.1, beta1=0.9, beta2=0.99, alpha=1.0, window=3)
-    trace = run_stream(
-        _stream(), 10, InnerAdaptConfig(theta=0.0), opt, seed=1, backend="numpy"
-    )
+    trace = run_stream(_stream(), 10, InnerAdaptConfig(theta=0.0), opt, seed=1)
     expected = [step_size_at(opt, t) for t in range(1, 11)]
     assert trace.step_sizes.tolist() == expected
-
-
-@pytest.mark.skipif(not HAS_NUMBA, reason="compiled backend unavailable")
-def test_backends_agree_on_a_tame_run():
-    inner = InnerAdaptConfig(theta=0.05)
-    opt = make_config_adagrad(eta=0.1, alpha=0.9, window=8)
-    a = run_stream(_stream(dim=4, seed=3), 200, inner, opt, seed=7, backend="numpy")
-    b = run_stream(_stream(dim=4, seed=3), 200, inner, opt, seed=7, backend="numba")
-    for name in ("iterates", "adapted", "losses", "grads", "smoothed_grads", "step_sizes"):
-        x, y = getattr(a, name), getattr(b, name)
-        assert np.allclose(x, y, rtol=1e-9, atol=1e-12), name
 
 
 def test_run_stream_records_a_config_snapshot():
@@ -254,11 +239,9 @@ def test_run_stream_records_a_config_snapshot():
         InnerAdaptConfig(theta=0.05),
         make_config_adagrad(eta=0.2, alpha=0.9, window=4),
         seed=5,
-        backend="numpy",
     )
     cfg = trace.config
     assert cfg["horizon"] == 6
-    assert cfg["backend"] == "numpy"
     assert cfg["smoothing"] == {"alpha": 0.9, "window": 4}
     assert cfg["noise"]["sigma"] == 0.5
     assert cfg["adapt"]["theta"] == 0.05
@@ -273,8 +256,6 @@ def test_run_stream_validates_inputs():
         run_stream(stream, 0, inner, opt, seed=1)
     with pytest.raises(DimensionError):
         run_stream(stream, 5, inner, opt, seed=1, x0=np.zeros(2))
-    with pytest.raises(ConfigError):
-        run_stream(stream, 5, inner, opt, seed=1, backend="cuda")
 
 
 def test_run_trace_shape_and_finite_validation():
