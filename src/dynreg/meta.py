@@ -37,7 +37,7 @@ from .optimizer import (
     step_size_at,
     weight_sum_W,
 )
-from .tasks import TaskRound, is_sine_stream
+from .tasks import TaskRound, is_sine_stream, sine_argument
 
 __all__ = [
     "InnerAdaptConfig",
@@ -416,7 +416,7 @@ def _play_sine_stream(stream, T, inner, opt, seed, x0) -> dict:
         if noisy:
             z = coord_std * rng.rekey(t).standard_normal((occ + 1, d))
         # inner_adapt
-        s = float(np.dot(a, x)) + b
+        s = sine_argument(a, x, b, t)
         g_in = (D * math.cos(s)) * a
         if noisy:
             xhat = x - theta * (g_in + z[0] / sqrt_tb)
@@ -428,7 +428,7 @@ def _play_sine_stream(stream, T, inner, opt, seed, x0) -> dict:
             )
         # RoundLoss.value_and_grad; with exact gradients U(x) is xhat's expression
         u = x - theta * g_in if noisy else xhat
-        su = float(np.dot(a, u)) + b
+        su = sine_argument(a, u, b, t)
         val = D * math.sin(su)
         g_out = (D * math.cos(su)) * a
         corr = (-D * math.sin(s)) * float(np.dot(a, g_out)) * a

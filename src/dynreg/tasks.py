@@ -41,6 +41,7 @@ __all__ = [
     "SineDriftStream",
     "PiecewiseDriftStream",
     "is_sine_stream",
+    "sine_argument",
     "loss_constants",
     "sub_gaussian_scale",
     "make_drifting_sine_stream",
@@ -192,6 +193,19 @@ class TaskRound:
     sine: Optional[SineParams] = None
 
 
+def sine_argument(a: np.ndarray, x: np.ndarray, b: float, t: int) -> float:
+    """s = <a, x> + b of round t's sine loss, checked for finiteness.
+
+    A large finite x can overflow s, and math.sin/math.cos raise ValueError
+    at inf; every evaluation of the sine family goes through here, so the
+    task oracles and the array run loop report it as the same NumericError.
+    """
+    s = float(np.dot(a, x)) + b
+    if not math.isfinite(s):
+        raise NumericError(f"round {t} produced a non-finite sine argument <a, x> + b")
+    return s
+
+
 def make_sine_task(
     index: int, amplitude: float, freq: np.ndarray, phase: float, noise: NoiseModel
 ) -> TaskRound:
@@ -199,20 +213,20 @@ def make_sine_task(
     a = np.array(freq, dtype=np.float64)
     D = float(amplitude)
     b = float(phase)
+    t = int(index)
 
     def loss(x: np.ndarray) -> float:
-        return D * math.sin(float(np.dot(a, x)) + b)
+        return D * math.sin(sine_argument(a, x, b, t))
 
     def grad(x: np.ndarray) -> np.ndarray:
-        s = float(np.dot(a, x)) + b
-        return (D * math.cos(s)) * a
+        return (D * math.cos(sine_argument(a, x, b, t))) * a
 
     def hess_vec(x: np.ndarray, v: np.ndarray) -> np.ndarray:
-        s = float(np.dot(a, x)) + b
+        s = sine_argument(a, x, b, t)
         return (-D * math.sin(s)) * float(np.dot(a, v)) * a
 
     return TaskRound(
-        index=int(index),
+        index=t,
         dim=a.size,
         noise=noise,
         loss=loss,

@@ -115,6 +115,15 @@ def test_overflowing_stream_constants_exit_with_config_error(tmp_path, capsys, c
     assert "config error" in capsys.readouterr().err
 
 
+def test_overflowing_sine_argument_exits_with_numeric_error(tmp_path, capsys):
+    # the iterate grows until <a, x> + b overflows (round 48 at seed 0)
+    rc = cli.main(["run", "--set", "optimizer.eta=1e307", "--set", "horizon=50",
+                   "--seed-list", "0", "--out", str(tmp_path)])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert "numeric error: round 48 produced a non-finite sine argument" in err
+
+
 def test_bounds_writes_a_report_per_theorem(tmp_path, capsys):
     rc = cli.main(["bounds", *FAST, "--out", str(tmp_path)])
     assert rc == 0

@@ -205,6 +205,39 @@ def test_run_stream_reports_non_finite_rounds_like_the_round_loop(case):
     assert re.fullmatch(expected, message)
 
 
+# (noise, theta, x0 coordinate): s = <a, x> + b overflows at the iterate,
+# or at the exact inner step U(x) while x and U(x) are still finite
+SINE_ARGUMENT_CASES = {
+    "at-iterate": (NoiseModel(GAUSSIAN, sigma=0.5), 0.05, 1e308),
+    "at-adapted": (NoiseModel(EXACT), 6e307, 0.0),
+}
+
+
+@pytest.mark.parametrize("case", list(SINE_ARGUMENT_CASES))
+def test_run_stream_reports_a_non_finite_sine_argument_like_the_round_loop(case):
+    noise, theta, x0 = SINE_ARGUMENT_CASES[case]
+    # ||a|| = 2 in one dimension, so <a, x> overflows while x is finite
+    stream = make_drifting_sine_stream(
+        dim=1, freq_scale=2.0, drift_rate=0.05, noise=noise, seed=2
+    )
+    inner = InnerAdaptConfig(theta=theta, train_batch=1)
+    opt = make_config_adagrad(eta=0.2, alpha=1.0, window=4)
+    x0 = np.full(1, x0)
+
+    def engine():
+        run_stream(stream, 5, inner, opt, seed=2, x0=x0)
+
+    def round_loop():
+        state = make_meta_state(x0, opt)
+        for t in range(1, 6):
+            state, _ = run_round(state, stream.task(t), inner, opt, spawn_rng_stream(2, t))
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        message = _numeric_error(engine)
+        assert message == _numeric_error(round_loop)
+    assert message == "round 1 produced a non-finite sine argument <a, x> + b"
+
+
 def test_trace_round_loss_reproduces_recorded_values():
     trace = run_stream(
         _stream(),
