@@ -7,7 +7,6 @@ error classification happen in one place.
 from __future__ import annotations
 
 import math
-from typing import Callable
 
 import numpy as np
 
@@ -18,7 +17,6 @@ __all__ = [
     "VerificationError",
     "as_vector",
     "l2_norm_sq",
-    "elementwise_combine",
     "finite_difference_gradient",
     "geometric_sum",
     "RngStream",
@@ -61,23 +59,6 @@ def l2_norm_sq(v) -> float:
     """Squared Euclidean norm of a finite real vector."""
     arr = as_vector(v, "v")
     return float(np.dot(arr, arr))
-
-
-def elementwise_combine(a, b, fn: Callable[[float, float], float]) -> np.ndarray:
-    """Apply a binary real function coordinate-wise to two same-length vectors."""
-    va = as_vector(a, "a")
-    vb = as_vector(b, "b")
-    if va.shape != vb.shape:
-        raise DimensionError(
-            f"operands must have equal length, got {va.size} and {vb.size}"
-        )
-    out = np.empty_like(va)
-    for i in range(va.size):
-        out[i] = float(fn(va[i], vb[i]))
-    if not np.all(np.isfinite(out)):
-        bad = int(np.flatnonzero(~np.isfinite(out))[0])
-        raise NumericError(f"combination produced a non-finite value at coordinate {bad}")
-    return out
 
 
 def finite_difference_gradient(f, x, h: float = 1e-5) -> np.ndarray:

@@ -160,21 +160,21 @@ def alpha_weights(alpha: float, window: int) -> np.ndarray:
 
 
 class _Slot:
-    __slots__ = ("iterate", "handle", "grad")
+    __slots__ = ("iterate", "grad")
 
-    def __init__(self, iterate, handle, grad):
+    def __init__(self, iterate, grad):
         self.iterate = iterate
-        self.handle = handle
         self.grad = grad
 
 
 class SmoothingWindow:
-    """Ring buffer of the last w (iterate, round-loss) pairs, newest first.
+    """Ring buffer of the last w (iterate, exact gradient) pairs, newest first.
 
-    Each slot keeps the loss handle (so past losses can be re-evaluated at
-    new points) plus that slot's exact gradient at its own iterate, computed
-    once at push time; the gradient of a fixed loss at a fixed point is
-    deterministic, and stochasticity is injected per query, not per slot.
+    Each slot keeps its iterate and the round loss's exact gradient there,
+    computed once at push time (from the pushed handle unless given); the
+    gradient of a fixed loss at a fixed point is deterministic, and
+    stochasticity is injected per query, not per slot. The handle itself
+    is not kept.
     """
 
     def __init__(self, alpha: float, window: int):
@@ -192,14 +192,15 @@ class SmoothingWindow:
         return len(self._slots)
 
     def push(self, iterate, handle, grad: Optional[np.ndarray] = None) -> None:
-        """Insert the newest (iterate, loss) pair, evicting the oldest if full."""
+        """Insert the newest iterate and its round loss's gradient (handle.grad
+        at the iterate unless grad is given), evicting the oldest if full."""
         x = as_vector(iterate, "iterate")
         g = handle.grad(x) if grad is None else as_vector(grad, "grad")
         if g.shape != x.shape:
             raise DimensionError(
                 f"gradient shape {g.shape} does not match iterate shape {x.shape}"
             )
-        self._slots.appendleft(_Slot(x, handle, np.asarray(g, dtype=np.float64)))
+        self._slots.appendleft(_Slot(x, np.asarray(g, dtype=np.float64)))
 
     def slot(self, r: int) -> _Slot:
         """Slot r rounds back (r = 0 is the current round's pair)."""

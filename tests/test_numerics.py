@@ -16,7 +16,6 @@ from dynreg import (
 )
 from dynreg.numerics import (
     as_vector,
-    elementwise_combine,
     finite_difference_gradient,
     l2_norm_sq,
 )
@@ -43,18 +42,6 @@ def test_as_vector_rejects_bad_shapes_and_values():
 def test_l2_norm_sq_matches_hand_value():
     assert l2_norm_sq([3.0, 4.0]) == 25.0
     assert l2_norm_sq(np.zeros(5)) == 0.0
-
-
-def test_elementwise_combine_applies_function():
-    out = elementwise_combine([1.0, 2.0], [3.0, 5.0], lambda a, b: a * b + 1.0)
-    assert out.tolist() == [4.0, 11.0]
-
-
-def test_elementwise_combine_rejects_mismatch_and_nonfinite():
-    with pytest.raises(DimensionError):
-        elementwise_combine([1.0], [1.0, 2.0], lambda a, b: a)
-    with pytest.raises(NumericError):
-        elementwise_combine([1.0], [0.0], lambda a, b: math.inf)
 
 
 def test_finite_difference_gradient_on_quadratic():
