@@ -57,7 +57,6 @@ DEFAULTS: dict = {
     "adapt": {
         "theta": 0.05,
         "train_batch": 32,
-        "test_batch": 32,
     },
     "optimizer": {
         "preset": "adagrad",
@@ -209,10 +208,6 @@ def _validate(cfg: dict) -> list:
         _is_int(ad["train_batch"]) and ad["train_batch"] >= 1,
         "adapt.train_batch: must be an integer >= 1",
     )
-    need(
-        _is_int(ad["test_batch"]) and ad["test_batch"] >= 1,
-        "adapt.test_batch: must be an integer >= 1",
-    )
 
     op = cfg["optimizer"]
     need(
@@ -310,7 +305,6 @@ class ExperimentConfig:
         return InnerAdaptConfig(
             theta=float(ad["theta"]),
             train_batch=int(ad["train_batch"]),
-            test_batch=int(ad["test_batch"]),
         )
 
     def optimizer(self) -> OptimizerConfig:

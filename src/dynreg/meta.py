@@ -54,26 +54,23 @@ __all__ = [
 
 @dataclass(frozen=True)
 class InnerAdaptConfig:
-    """Inner-adaptation step size and batch sizes.
+    """Inner-adaptation step size and batch size.
 
     theta = 0 is legal (adaptation becomes the identity). train_batch scales
-    the inner-step gradient noise by 1/sqrt(train_batch). test_batch is
-    validated and recorded for bookkeeping but does not enter the dynamics:
-    round-loss noise is injected at the gradient oracle, whose second moment
-    is the configured sigma^2 by definition.
+    the inner-step gradient noise by 1/sqrt(train_batch). The round loss
+    has no batch size: its noise is injected at the gradient oracle, whose
+    second moment is the configured sigma^2 by definition.
     """
 
     theta: float
     train_batch: int = 32
-    test_batch: int = 32
 
     def __post_init__(self):
         if not (math.isfinite(self.theta) and self.theta >= 0):
             raise ConfigError(f"theta must be finite and >= 0, got {self.theta}")
-        for name in ("train_batch", "test_batch"):
-            val = getattr(self, name)
-            if not isinstance(val, (int, np.integer)) or val < 1:
-                raise ConfigError(f"{name} must be an integer >= 1, got {val!r}")
+        tb = self.train_batch
+        if not isinstance(tb, (int, np.integer)) or tb < 1:
+            raise ConfigError(f"train_batch must be an integer >= 1, got {tb!r}")
 
 
 class RoundLoss:
@@ -284,11 +281,7 @@ def _snapshot(stream, horizon, inner, opt, seed, x0) -> dict:
         "seed": int(seed),
         "stream": spec,
         "noise": noise_spec,
-        "adapt": {
-            "theta": inner.theta,
-            "train_batch": inner.train_batch,
-            "test_batch": inner.test_batch,
-        },
+        "adapt": {"theta": inner.theta, "train_batch": inner.train_batch},
         "optimizer": {
             "schedule": opt.schedule,
             "eta": opt.eta,

@@ -65,6 +65,16 @@ def test_unknown_keys_are_named():
         load_config(None, ("optimizer=3",))
 
 
+def test_adapt_test_batch_is_an_unknown_key(tmp_path):
+    # the round loss has no batch size; the option was dropped from the schema
+    with pytest.raises(ConfigError, match="adapt.test_batch: unknown key"):
+        load_config(None, ("adapt.test_batch=32",))
+    path = tmp_path / "old.json"
+    path.write_text(json.dumps({"adapt": {"test_batch": 32}}))
+    with pytest.raises(ConfigError, match="adapt.test_batch: unknown key"):
+        load_config(str(path))
+
+
 def test_errors_are_collected_together():
     with pytest.raises(ConfigError) as exc:
         load_config(None, ("horizon=0", "dim=0", "delta=2"))

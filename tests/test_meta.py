@@ -44,8 +44,6 @@ def test_inner_config_validation():
         InnerAdaptConfig(theta=-0.1)
     with pytest.raises(ConfigError):
         InnerAdaptConfig(theta=0.1, train_batch=0)
-    with pytest.raises(ConfigError):
-        InnerAdaptConfig(theta=0.1, test_batch=0)
 
 
 def test_round_loss_is_identity_at_zero_theta():
