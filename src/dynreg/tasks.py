@@ -197,8 +197,8 @@ def sine_argument(a: np.ndarray, x: np.ndarray, b: float, t: int) -> float:
     """s = <a, x> + b of round t's sine loss, checked for finiteness.
 
     A large finite x can overflow s, and math.sin/math.cos raise ValueError
-    at inf; every evaluation of the sine family goes through here, so the
-    task oracles and the array run loop report it as the same NumericError.
+    at inf. The task oracles and the array run loop both compute s here, so
+    they report the overflow as the same NumericError at the same round.
     """
     s = float(np.dot(a, x)) + b
     if not math.isfinite(s):
