@@ -12,6 +12,7 @@ from dynreg import (
     ConfigError,
     DimensionError,
     NoiseModel,
+    NumericError,
     loss_constants,
     make_drifting_sine_stream,
     make_piecewise_drift_stream,
@@ -100,6 +101,49 @@ def test_sine_task_gradient_matches_finite_differences():
     x = np.array([0.5, -0.2, 0.8])
     fd = finite_difference_gradient(task.loss, x)
     assert np.max(np.abs(fd - task.grad(x))) < 1e-9
+
+
+def test_sine_argument_is_checked_in_every_oracle():
+    a = np.array([0.6, -0.8])
+    x = np.array([0.2, 0.7])
+    assert tasks.sine_argument(a, x, 0.4, 3) == float(np.dot(a, x)) + 0.4
+    message = r"^round 7 produced a non-finite sine argument <a, x> \+ b$"
+    # <a, x> overflows while a and x are finite; b pushes a finite sum to inf
+    with np.errstate(over="ignore"):
+        with pytest.raises(NumericError, match=message):
+            tasks.sine_argument(np.array([2.0]), np.array([1e308]), 0.0, 7)
+    with pytest.raises(NumericError, match=message):
+        tasks.sine_argument(np.array([1.0]), np.array([1.7e308]), 1.7e308, 7)
+    with pytest.raises(NumericError, match=message):
+        tasks.sine_argument(a, np.array([math.nan, 0.0]), 0.4, 7)
+    task = make_sine_task(7, 1.0, np.array([2.0]), 0.0, NoiseModel(EXACT))
+    big = np.array([1e308])
+    with np.errstate(over="ignore"):
+        for oracle in (task.loss, task.grad, lambda x: task.hess_vec(x, x)):
+            with pytest.raises(NumericError, match=message):
+                oracle(big)
+
+
+def test_is_sine_stream_needs_both_parameter_arrays():
+    assert tasks.is_sine_stream(make_drifting_sine_stream(dim=2, seed=0))
+    assert tasks.is_sine_stream(
+        make_piecewise_drift_stream(dim=2, segment_length=4, jump_scale=0.1, seed=0)
+    )
+
+    class Amplitude:
+        amplitude = 1.0
+
+    class Params:
+        def params_upto(self, t):
+            raise AssertionError("the predicate must not read the arrays")
+
+    class Both(Amplitude, Params):
+        pass
+
+    assert not tasks.is_sine_stream(Amplitude())
+    assert not tasks.is_sine_stream(Params())
+    assert tasks.is_sine_stream(Both())
+    assert not tasks.is_sine_stream(make_drifting_sine_stream(dim=2, seed=0).task(1))
 
 
 def test_drifting_stream_rows_keep_the_frequency_norm():
