@@ -10,9 +10,11 @@ The static variant re-evaluates the last w losses at the current iterate:
 
     SLR_w(T) = sum_t || (1/w) sum_{r<min(t,w)} grad ell_{t-r}(x_t) ||^2.
 
-Four calculators turn run hyperparameters and loss-family constants into
-the matching closed-form right-hand sides: expectation and high-probability
+One calculator turns run hyperparameters and loss-family constants into
+the four closed-form right-hand sides: expectation and high-probability
 guarantees for the accumulating (beta1=0, beta2=1) and momentum presets.
+The noise level and the preset are independent choices inside it; every
+guarantee whose C or right-hand side is not finite carries a warning.
 """
 
 from __future__ import annotations
@@ -299,59 +301,6 @@ class BoundReport:
         return rec
 
 
-def _common_inputs(opt, constants, theta, horizon, dim, delta, sigma):
-    if not isinstance(horizon, (int, np.integer)) or horizon < 1:
-        raise ConfigError(f"horizon must be an integer >= 1, got {horizon!r}")
-    if not isinstance(dim, (int, np.integer)) or dim < 1:
-        raise ConfigError(f"dim must be an integer >= 1, got {dim!r}")
-    if not (0.0 < delta < 1.0):
-        raise ConfigError(f"delta must be in (0, 1), got {delta}")
-    if not (math.isfinite(theta) and theta >= 0):
-        raise ConfigError(f"theta must be finite and >= 0, got {theta}")
-    return {
-        "T": int(horizon),
-        "dim": int(dim),
-        "delta": float(delta),
-        "eta": opt.eta,
-        "beta1": opt.beta1,
-        "beta2": opt.beta2,
-        "epsilon": opt.epsilon,
-        "alpha": opt.alpha,
-        "w": opt.window,
-        "sigma": float(sigma),
-        "theta": float(theta),
-        "D": constants.D,
-        "L": constants.L,
-        "gamma": constants.gamma,
-        "H": constants.H,
-    }
-
-
-def _require_preset(kind: str, opt: OptimizerConfig) -> None:
-    if kind == ADAGRAD:
-        if not (opt.beta1 == 0.0 and opt.beta2 == 1.0 and opt.schedule == CONSTANT):
-            raise ConfigError(
-                "the accumulating-preset bounds require beta1=0, beta2=1 and a "
-                f"constant step size; got beta1={opt.beta1}, beta2={opt.beta2}, "
-                f"schedule={opt.schedule}"
-            )
-    elif kind == ADAM:
-        if opt.schedule != ADAM_SCHEDULE:
-            raise ConfigError(
-                "the momentum-preset bounds require the increasing step-size "
-                f"schedule; got schedule={opt.schedule}"
-            )
-    else:
-        raise ConfigError(f"theorem kind must be '{ADAGRAD}' or '{ADAM}', got {kind!r}")
-
-
-def _resolve_varsigma(varsigma, beta2) -> float:
-    vs = math.sqrt(1.0 - beta2) if varsigma is None else float(varsigma)
-    if not (math.isfinite(vs) and vs > 0):
-        raise ConfigError(f"varsigma must be positive and finite, got {vs}")
-    return vs
-
-
 def bound_expectation(
     kind: str,
     opt: OptimizerConfig,
@@ -364,66 +313,7 @@ def bound_expectation(
     varsigma: Optional[float] = None,
 ) -> BoundReport:
     """In-expectation guarantee on DLR_w(T), holding with probability 1-delta."""
-    _require_preset(kind, opt)
-    inputs = _common_inputs(opt, constants, theta, horizon, dim, delta, noise.sigma)
-    T, d = inputs["T"], inputs["dim"]
-    eta, eps = opt.eta, opt.epsilon
-    W = weight_sum_W(opt.alpha, opt.window)
-    eff = effective_constants(constants, theta)
-    Lp, gp = eff.L, eff.gamma
-    zeta = noise.sigma**2 / W
-    warnings: list[str] = []
-
-    if kind == ADAGRAD:
-        varpi1 = 4.0 * constants.D * T / (W * eta)
-        varpi2 = (eta * gp + 4.0 * math.sqrt(zeta)) / 2.0
-        C = varpi1 + varpi2 * d * math.log1p(2.0 * (zeta + Lp**2) * T / (d * eps))
-        rhs = (
-            4.0 * C * math.sqrt(eps) / delta
-            + 8.0 * C * math.sqrt(zeta * T) / delta**1.5
-            + 48.0 * C * C / delta**2
-        )
-        derived = {
-            "W": W,
-            "L_prime": Lp,
-            "gamma_prime": gp,
-            "zeta": zeta,
-            "varpi1": varpi1,
-            "varpi2": varpi2,
-            "C": C,
-        }
-        return BoundReport("adagrad-expectation", inputs, derived, rhs, tuple(warnings))
-
-    b1, b2 = opt.beta1, opt.beta2
-    vs = _resolve_varsigma(varsigma, b2)
-    inputs["varsigma"] = vs
-    q = 1.0 - b1 / b2
-    varpi1 = 4.0 * constants.D * T / W + 8.0 * T * eta * (1.0 - b1) * Lp**2 / (
-        b1 * math.sqrt(1.0 - b2) * W * W
-    )
-    varpi2 = (
-        d * eta**2 * (1.0 - b1) * gp / (2.0 * (1.0 - b2) * q)
-        + d * eta**3 * gp**2 * b1 / (q * (1.0 - b2) ** 1.5)
-        + 2.0 * d * eta * (1.0 + math.sqrt(zeta)) * math.sqrt(1.0 - b1)
-        / (q**1.5 * math.sqrt(1.0 - b2))
-        + 2.0 * eta**3 * (1.0 - b1) ** 2 * gp**2 / (b1 * (1.0 - b2) ** 1.5 * q)
-    )
-    log_term = d * math.log1p(2.0 * (zeta + Lp**2) / (d * eps * (1.0 - b2))) - T * math.log(b2)
-    C = varpi1 + varpi2 * log_term
-    pref = math.sqrt(1.0 - b2) / (vs * eta * (1.0 - b1))
-    rhs = pref * (
-        4.0 * C * math.sqrt(eps) / delta + 8.0 * C * math.sqrt(zeta * T) / delta**1.5
-    ) + 48.0 * (1.0 - b2) * C * C / (vs**2 * eta**2 * (1.0 - b1) ** 2 * delta**2)
-    derived = {
-        "W": W,
-        "L_prime": Lp,
-        "gamma_prime": gp,
-        "zeta": zeta,
-        "varpi1": varpi1,
-        "varpi2": varpi2,
-        "C": C,
-    }
-    return BoundReport("adam-expectation", inputs, derived, rhs, tuple(warnings))
+    return _bound(kind, False, opt, noise, constants, theta, horizon, dim, delta, varsigma)
 
 
 def bound_highprob(
@@ -442,100 +332,142 @@ def bound_highprob(
     Requires a sub-Gaussian scale kappa (explicit on the noise model, or
     derived from sigma and the dimension).
     """
-    _require_preset(kind, opt)
-    inputs = _common_inputs(opt, constants, theta, horizon, dim, delta, noise.sigma)
-    T, d = inputs["T"], inputs["dim"]
-    eta, eps = opt.eta, opt.epsilon
-    kappa = noise.kappa_for(d)
-    if kappa is None:
-        raise ConfigError(
-            "high-probability bounds require a sub-Gaussian scale kappa; the "
-            "noise model is exact and provides none"
-        )
-    inputs["kappa"] = kappa
-    W = weight_sum_W(opt.alpha, opt.window)
-    eff = effective_constants(constants, theta)
+    return _bound(kind, True, opt, noise, constants, theta, horizon, dim, delta, varsigma)
+
+
+def _bound(kind, highprob, opt, noise, constants, theta, horizon, dim, delta, varsigma):
+    """The four guarantees, built along two independent choices.
+
+    The noise level sets zeta and the noise scale: sigma^2/W and sqrt(zeta)
+    in expectation, kappa^2 ln(e/delta) and sqrt(zeta)/sqrt(W) with high
+    probability, where a deviation term also joins C. The preset (kind) sets
+    varpi1, varpi2, the log term and the right-hand side.
+    """
+    if kind == ADAGRAD:
+        if not (opt.beta1 == 0.0 and opt.beta2 == 1.0 and opt.schedule == CONSTANT):
+            raise ConfigError(
+                "the accumulating-preset bounds require beta1=0, beta2=1 and a "
+                f"constant step size; got beta1={opt.beta1}, beta2={opt.beta2}, "
+                f"schedule={opt.schedule}"
+            )
+    elif kind == ADAM:
+        if opt.schedule != ADAM_SCHEDULE:
+            raise ConfigError(
+                "the momentum-preset bounds require the increasing step-size "
+                f"schedule; got schedule={opt.schedule}"
+            )
+    else:
+        raise ConfigError(f"theorem kind must be '{ADAGRAD}' or '{ADAM}', got {kind!r}")
+    if not isinstance(horizon, (int, np.integer)) or horizon < 1:
+        raise ConfigError(f"horizon must be an integer >= 1, got {horizon!r}")
+    if not isinstance(dim, (int, np.integer)) or dim < 1:
+        raise ConfigError(f"dim must be an integer >= 1, got {dim!r}")
+    if not (0.0 < delta < 1.0):
+        raise ConfigError(f"delta must be in (0, 1), got {delta}")
+    eff = effective_constants(constants, theta)  # also validates theta
     Lp, gp = eff.L, eff.gamma
-    log_inv = math.log(1.0 / delta)
-    zeta = kappa**2 * (1.0 + log_inv)  # kappa^2 ln(e/delta)
+    T, d = int(horizon), int(dim)
+    eta, eps = opt.eta, opt.epsilon
+    inputs = {
+        "T": T, "dim": d, "delta": float(delta),
+        "eta": eta, "beta1": opt.beta1, "beta2": opt.beta2, "epsilon": eps,
+        "alpha": opt.alpha, "w": opt.window, "sigma": float(noise.sigma), "theta": float(theta),
+        "D": constants.D, "L": constants.L, "gamma": constants.gamma, "H": constants.H,
+    }
+    W = weight_sum_W(opt.alpha, opt.window)
+    if highprob:
+        kappa = noise.kappa_for(d)
+        if kappa is None:
+            raise ConfigError(
+                "high-probability bounds require a sub-Gaussian scale kappa; the "
+                "noise model is exact and provides none"
+            )
+        inputs["kappa"] = kappa
+        log_inv = math.log(1.0 / delta)
+        zeta = kappa**2 * (1.0 + log_inv)  # kappa^2 ln(e/delta)
+        noise_scale = math.sqrt(zeta) / math.sqrt(W)
+    else:
+        zeta = noise.sigma**2 / W
+        noise_scale = math.sqrt(zeta)
     warnings: list[str] = []
 
     if kind == ADAGRAD:
         varpi1 = 4.0 * constants.D * T / (W * eta)
-        varpi2 = eta * gp / 2.0 + 2.0 * math.sqrt(zeta) / math.sqrt(W)
-        C = (
-            varpi1
-            + varpi2 * d * math.log1p(2.0 * (zeta + Lp**2) * T / (d * eps))
-            + (3.0 * kappa**2 / math.sqrt(eps)) * log_inv
-        )
-        rhs = (
-            4.0 * C * math.sqrt(eps)
-            + 4.0 * C * math.sqrt(2.0 * T * zeta / W)
-            + 48.0 * C * C / W
-        )
-        derived = {
-            "W": W,
-            "L_prime": Lp,
-            "gamma_prime": gp,
-            "zeta": zeta,
-            "varpi1": varpi1,
-            "varpi2": varpi2,
-            "C": C,
-        }
-        return BoundReport("adagrad-highprob", inputs, derived, rhs, tuple(warnings))
-
-    b1, b2 = opt.beta1, opt.beta2
-    vs = _resolve_varsigma(varsigma, b2)
-    inputs["varsigma"] = vs
-    q = 1.0 - b1 / b2
-    varpi1 = 4.0 * constants.D * T / W + 8.0 * T * eta * (1.0 - b1) * Lp**2 / (
-        b1 * math.sqrt(1.0 - b2) * W * W
-    )
-    varpi2 = (
-        d * eta**2 * (1.0 - b1) * gp / (2.0 * (1.0 - b2) * q)
-        + d * eta**3 * gp**2 * b1 / (q * (1.0 - b2) ** 1.5)
-        + 2.0 * d * eta * (1.0 + math.sqrt(zeta) / math.sqrt(W)) * math.sqrt(1.0 - b1)
-        / (q**1.5 * math.sqrt(1.0 - b2))
-        + 2.0 * eta**3 * (1.0 - b1) ** 2 * gp**2 / (b1 * (1.0 - b2) ** 1.5 * q)
-    )
-    b1_pow_T = b1**T
-    if b1_pow_T == 0.0:
-        varpi3 = math.inf
-        warnings.append(
-            f"beta1^T underflowed to zero at T={T}; the deviation term and the "
-            "right-hand side are reported as infinite"
-        )
-    else:
-        varpi3 = (
-            3.0
-            * eta
-            * (1.0 - b1)
-            * kappa**2
-            * log_inv
-            / (W * W * b1_pow_T * math.sqrt(1.0 - b2) * math.sqrt(eps))
-        )
-        if not math.isfinite(varpi3):
-            warnings.append(
-                "the deviation term overflowed; the right-hand side is reported as infinite"
+        varpi2 = eta * gp / 2.0 + 2.0 * noise_scale
+        C = varpi1 + varpi2 * d * math.log1p(2.0 * (zeta + Lp**2) * T / (d * eps))
+        if highprob:
+            C += (3.0 * kappa**2 / math.sqrt(eps)) * log_inv
+            rhs = (
+                4.0 * C * math.sqrt(eps)
+                + 4.0 * C * math.sqrt(2.0 * T * zeta / W)
+                + 48.0 * C * C / W
             )
-    log_term = d * math.log1p(2.0 * (zeta + Lp**2) / (d * eps * (1.0 - b2))) - T * math.log(b2)
-    C = varpi1 + varpi2 * log_term + varpi3
-    rhs = (4.0 * math.sqrt(1.0 - b2) * C / (vs * eta * (1.0 - b1))) * (
-        math.sqrt(eps) + math.sqrt(2.0 * T * zeta / W)
-    ) + 48.0 * (1.0 - b2) * C * C / (W * vs**2 * eta**2 * (1.0 - b1) ** 2)
-    if not math.isfinite(rhs) and not warnings:
-        warnings.append("the right-hand side overflowed to infinity")
+        else:
+            rhs = (
+                4.0 * C * math.sqrt(eps) / delta
+                + 8.0 * C * math.sqrt(zeta * T) / delta**1.5
+                + 48.0 * C * C / delta**2
+            )
+    else:
+        b1, b2 = opt.beta1, opt.beta2
+        vs = math.sqrt(1.0 - b2) if varsigma is None else float(varsigma)
+        if not (math.isfinite(vs) and vs > 0):
+            raise ConfigError(f"varsigma must be positive and finite, got {vs}")
+        inputs["varsigma"] = vs
+        q = 1.0 - b1 / b2
+        varpi1 = 4.0 * constants.D * T / W + 8.0 * T * eta * (1.0 - b1) * Lp**2 / (
+            b1 * math.sqrt(1.0 - b2) * W * W
+        )
+        varpi2 = (
+            d * eta**2 * (1.0 - b1) * gp / (2.0 * (1.0 - b2) * q)
+            + d * eta**3 * gp**2 * b1 / (q * (1.0 - b2) ** 1.5)
+            + 2.0 * d * eta * (1.0 + noise_scale) * math.sqrt(1.0 - b1)
+            / (q**1.5 * math.sqrt(1.0 - b2))
+            + 2.0 * eta**3 * (1.0 - b1) ** 2 * gp**2 / (b1 * (1.0 - b2) ** 1.5 * q)
+        )
+        log_term = d * math.log1p(2.0 * (zeta + Lp**2) / (d * eps * (1.0 - b2))) - T * math.log(b2)
+        C = varpi1 + varpi2 * log_term
+        if highprob:
+            b1_pow_T = b1**T
+            if b1_pow_T == 0.0:
+                varpi3 = math.inf
+                warnings.append(
+                    f"beta1^T underflowed to zero at T={T}; the deviation term and the "
+                    "right-hand side are reported as infinite"
+                )
+            else:
+                varpi3 = (
+                    3.0 * eta * (1.0 - b1) * kappa**2 * log_inv
+                    / (W * W * b1_pow_T * math.sqrt(1.0 - b2) * math.sqrt(eps))
+                )
+                if not math.isfinite(varpi3):
+                    warnings.append(
+                        "the deviation term overflowed; the right-hand side is reported as infinite"
+                    )
+            C += varpi3
+            rhs = (4.0 * math.sqrt(1.0 - b2) * C / (vs * eta * (1.0 - b1))) * (
+                math.sqrt(eps) + math.sqrt(2.0 * T * zeta / W)
+            ) + 48.0 * (1.0 - b2) * C * C / (W * vs**2 * eta**2 * (1.0 - b1) ** 2)
+        else:
+            pref = math.sqrt(1.0 - b2) / (vs * eta * (1.0 - b1))
+            rhs = pref * (
+                4.0 * C * math.sqrt(eps) / delta + 8.0 * C * math.sqrt(zeta * T) / delta**1.5
+            ) + 48.0 * (1.0 - b2) * C * C / (vs**2 * eta**2 * (1.0 - b1) ** 2 * delta**2)
+
+    if not warnings and not (math.isfinite(C) and math.isfinite(rhs)):
+        warnings.append(
+            "the right-hand side overflowed to infinity"
+            if rhs == math.inf
+            else f"the right-hand side is not finite (C={C}, rhs={rhs})"
+        )
     derived = {
-        "W": W,
-        "L_prime": Lp,
-        "gamma_prime": gp,
-        "zeta": zeta,
-        "varpi1": varpi1,
-        "varpi2": varpi2,
-        "varpi3": varpi3,
-        "C": C,
+        "W": W, "L_prime": Lp, "gamma_prime": gp, "zeta": zeta, "varpi1": varpi1, "varpi2": varpi2
     }
-    return BoundReport("adam-highprob", inputs, derived, rhs, tuple(warnings))
+    if highprob and kind == ADAM:
+        derived["varpi3"] = varpi3
+    derived["C"] = C
+    theorem = f"{kind}-highprob" if highprob else f"{kind}-expectation"
+    return BoundReport(theorem, inputs, derived, rhs, tuple(warnings))
 
 
 @dataclass(frozen=True, eq=False)

@@ -12,6 +12,8 @@ from math import fsum
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dynreg import (
     ADAGRAD,
@@ -19,6 +21,7 @@ from dynreg import (
     EXACT,
     GAUSSIAN,
     SUBGAUSSIAN,
+    THEOREMS,
     InnerAdaptConfig,
     NoiseModel,
     RoundLoss,
@@ -434,6 +437,79 @@ def test_criterion_09_bound_reports_match_independent_reevaluation():
         assert math.isfinite(report.rhs), label
         assert report.rhs == pytest.approx(rhs, rel=1e-9), label
         assert report.derived["C"] == pytest.approx(C, rel=1e-9), label
+
+
+SECOND_OPINIONS = {
+    "adagrad-expectation": _second_opinion_adagrad_expectation,
+    "adam-expectation": _second_opinion_adam_expectation,
+    "adagrad-highprob": _second_opinion_adagrad_highprob,
+    "adam-highprob": _second_opinion_adam_highprob,
+}
+
+
+@st.composite
+def bound_points(draw):
+    """A theorem and a parameter point where its right-hand side is finite."""
+    theorem = draw(st.sampled_from(THEOREMS))
+    kind, _, level = theorem.partition("-")
+    alpha = draw(
+        st.one_of(
+            st.floats(min_value=0.0, max_value=1.0, exclude_min=True),
+            st.sampled_from([1.0 - 1e-10, 1.0]),
+        )
+    )
+    window = draw(st.integers(min_value=1, max_value=1000))
+    eta = draw(st.floats(min_value=1e-6, max_value=10.0))
+    epsilon = draw(st.floats(min_value=1e-12, max_value=1.0))
+    horizon_cap = 100_000
+    varsigma = None
+    if kind == ADAGRAD:
+        opt = make_config_adagrad(eta=eta, epsilon=epsilon, alpha=alpha, window=window)
+    else:
+        beta2 = draw(st.floats(min_value=1e-3, max_value=1.0 - 1e-12))
+        # beta1/beta2 <= 1 - 1e-4 keeps q = 1 - beta1/beta2 well conditioned
+        beta1 = beta2 * draw(st.floats(min_value=1e-4, max_value=1.0 - 1e-4))
+        if level == "highprob":
+            # beta1^T >= 1e-100 keeps the deviation term varpi3 finite
+            horizon_cap = min(horizon_cap, max(1, int(100.0 / -math.log10(beta1))))
+        opt = make_config_adam(
+            eta=eta, beta1=beta1, beta2=beta2, epsilon=epsilon, alpha=alpha, window=window
+        )
+        varsigma = draw(st.one_of(st.none(), st.floats(min_value=1e-3, max_value=10.0)))
+    horizon = draw(st.integers(min_value=1, max_value=horizon_cap))
+    noisy = [GAUSSIAN, SUBGAUSSIAN] if level == "highprob" else [EXACT, GAUSSIAN, SUBGAUSSIAN]
+    noise_kind = draw(st.sampled_from(noisy))
+    if noise_kind == EXACT:
+        noise = NoiseModel(EXACT)
+    else:
+        noise = NoiseModel(
+            noise_kind,
+            sigma=draw(st.floats(min_value=1e-3, max_value=10.0)),
+            kappa=draw(st.one_of(st.none(), st.floats(min_value=1e-3, max_value=10.0))),
+        )
+    constants = loss_constants(
+        draw(st.floats(min_value=0.1, max_value=10.0)),
+        draw(st.floats(min_value=0.1, max_value=10.0)),
+    )
+    theta = draw(st.floats(min_value=0.0, max_value=10.0))
+    dim = draw(st.integers(min_value=1, max_value=100))
+    # delta <= 0.999 keeps ln(1/delta) and -ln(delta) within 1e-13 of each other
+    delta = draw(st.floats(min_value=1e-30, max_value=0.999))
+    fn = bound_expectation if level == "expectation" else bound_highprob
+    return theorem, fn, (kind, opt, noise, constants, theta, horizon, dim, delta), varsigma
+
+
+@given(bound_points())
+@settings(max_examples=200, deadline=None)
+def test_bound_reports_match_independent_reevaluation_over_the_parameter_range(point):
+    theorem, fn, args, varsigma = point
+    report = fn(*args, varsigma=varsigma)
+    assert report.theorem == theorem
+    rhs, C = SECOND_OPINIONS[theorem](dict(report.inputs))
+    assert math.isfinite(report.rhs)
+    assert report.warnings == ()
+    assert report.rhs == pytest.approx(rhs, rel=1e-9)
+    assert report.derived["C"] == pytest.approx(C, rel=1e-9)
 
 
 def test_criterion_10_run_artifacts_are_byte_identical(tmp_path, monkeypatch):

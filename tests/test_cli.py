@@ -137,6 +137,20 @@ def test_bounds_writes_a_report_per_theorem(tmp_path, capsys):
     assert "adagrad-highprob: rhs=" in out
 
 
+@pytest.mark.parametrize("preset", ["adagrad", "adam"])
+def test_bounds_prints_the_warning_of_every_non_finite_guarantee(tmp_path, capsys, preset):
+    rc = cli.main(["bounds", *FAST, "--set", f'optimizer.preset="{preset}"',
+                   "--set", "stream.amplitude=1e200", "--out", str(tmp_path)])
+    assert rc == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 2
+    for theorem, line in zip((f"{preset}-expectation", f"{preset}-highprob"), lines):
+        assert line.startswith(f"{theorem}: rhs=inf")
+        assert line.endswith("warnings: the right-hand side overflowed to infinity")
+        rec = json.loads((tmp_path / f"bound_{theorem}.json").read_text())
+        assert rec["warnings"] == ["the right-hand side overflowed to infinity"]
+
+
 def test_bounds_respects_an_explicit_list(tmp_path):
     rc = cli.main(["bounds", *FAST, "--set", 'bounds=["adagrad-expectation"]',
                    "--out", str(tmp_path)])

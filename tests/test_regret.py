@@ -12,6 +12,7 @@ from dynreg import (
     EXACT,
     GAUSSIAN,
     SUBGAUSSIAN,
+    THEOREMS,
     ConfigError,
     InnerAdaptConfig,
     NoiseModel,
@@ -305,6 +306,26 @@ def test_adam_highprob_flags_momentum_underflow():
     short = bound_highprob(ADAM, opt, sub, consts, 0.05, 500, 10, 0.1)
     assert math.isfinite(short.rhs)
     assert short.warnings == ()
+
+
+@pytest.mark.parametrize("theorem", THEOREMS)
+def test_every_theorem_warns_when_its_guarantee_is_not_finite(theorem):
+    kind, _, level = theorem.partition("-")
+    opt, _, _ = _setup(kind)
+    fn = bound_expectation if level == "expectation" else bound_highprob
+    sub = NoiseModel(SUBGAUSSIAN, sigma=0.5)
+    tame = fn(kind, opt, sub, loss_constants(1.0, 1.0), 0.05, 500, 10, 0.1)
+    assert math.isfinite(tame.rhs)
+    assert tame.warnings == ()
+    huge = fn(kind, opt, sub, loss_constants(1e200, 1.0), 0.05, 500, 10, 0.1)
+    assert huge.theorem == theorem
+    assert huge.rhs == math.inf
+    assert huge.warnings == ("the right-hand side overflowed to infinity",)
+    if level == "expectation":
+        # exact noise makes zeta = 0, so C = inf meets sqrt(zeta T) = 0
+        exact = fn(kind, opt, NoiseModel(EXACT), loss_constants(1e200, 1.0), 0.05, 500, 10, 0.1)
+        assert math.isnan(exact.rhs)
+        assert exact.warnings == ("the right-hand side is not finite (C=inf, rhs=nan)",)
 
 
 def test_adam_bound_varsigma_default_and_override():
