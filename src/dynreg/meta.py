@@ -319,7 +319,10 @@ def run_stream(
 
     config = _snapshot(stream, horizon, inner, opt, seed, x0)
     play = _play_sine_stream if is_sine_stream(stream) else _play_round_by_round
-    arrays = play(stream, horizon, inner, opt, seed, x0)
+    # an overflowing sine argument, gradient or iterate raises NumericError
+    # from the loop's own finiteness checks; numpy's warnings would repeat it
+    with np.errstate(over="ignore", invalid="ignore"):
+        arrays = play(stream, horizon, inner, opt, seed, x0)
     return RunTrace(
         seed=int(seed),
         horizon=horizon,
