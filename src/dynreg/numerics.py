@@ -16,7 +16,6 @@ __all__ = [
     "NumericError",
     "VerificationError",
     "as_vector",
-    "l2_norm_sq",
     "finite_difference_gradient",
     "geometric_sum",
     "RngStream",
@@ -53,12 +52,6 @@ def as_vector(x, name: str = "x") -> np.ndarray:
         bad = int(np.flatnonzero(~np.isfinite(arr))[0])
         raise NumericError(f"{name} has a non-finite entry at coordinate {bad}")
     return arr
-
-
-def l2_norm_sq(v) -> float:
-    """Squared Euclidean norm of a finite real vector."""
-    arr = as_vector(v, "v")
-    return float(np.dot(arr, arr))
 
 
 def finite_difference_gradient(f, x, h: float = 1e-5) -> np.ndarray:

@@ -36,7 +36,6 @@ __all__ = [
     "SUBGAUSSIAN",
     "LossConstants",
     "NoiseModel",
-    "SineParams",
     "TaskRound",
     "SineDriftStream",
     "PiecewiseDriftStream",
@@ -167,21 +166,10 @@ class NoiseModel:
 
 
 @dataclass(frozen=True, eq=False)
-class SineParams:
-    """Closed-form parameters of one sinusoidal round loss."""
-
-    amplitude: float
-    freq: np.ndarray  # direction-times-scale vector a
-    phase: float
-
-
-@dataclass(frozen=True, eq=False)
 class TaskRound:
     """One round's loss with exact evaluators and its noise model.
 
     loss/grad take an iterate; hess_vec(x, v) applies the Hessian at x to v.
-    sine holds the closed-form parameters when the loss is from the sine
-    family, which fast evaluation paths exploit.
     """
 
     index: int
@@ -190,7 +178,6 @@ class TaskRound:
     loss: Callable[[np.ndarray], float]
     grad: Callable[[np.ndarray], np.ndarray]
     hess_vec: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    sine: Optional[SineParams] = None
 
 
 def sine_argument(a: np.ndarray, x: np.ndarray, b: float, t: int) -> float:
@@ -232,7 +219,6 @@ def make_sine_task(
         loss=loss,
         grad=grad,
         hess_vec=hess_vec,
-        sine=SineParams(amplitude=D, freq=a, phase=b),
     )
 
 

@@ -17,7 +17,6 @@ from dynreg import (
 from dynreg.numerics import (
     as_vector,
     finite_difference_gradient,
-    l2_norm_sq,
 )
 
 
@@ -37,11 +36,6 @@ def test_as_vector_rejects_bad_shapes_and_values():
         as_vector([0.0, math.nan])
     with pytest.raises(NumericError, match="coordinate 2"):
         as_vector(np.array([0.0, 1.0, math.inf]))
-
-
-def test_l2_norm_sq_matches_hand_value():
-    assert l2_norm_sq([3.0, 4.0]) == 25.0
-    assert l2_norm_sq(np.zeros(5)) == 0.0
 
 
 def test_finite_difference_gradient_on_quadratic():

@@ -159,11 +159,14 @@ def test_drifting_stream_deterministic_and_prefix_stable():
     one = make_drifting_sine_stream(dim=4, drift_rate=0.1, seed=9)
     t5 = one.task(5)
     A_small = one.params_upto(5)[0].copy()
-    A_big = one.params_upto(400)[0]
+    A_big, B_big = one.params_upto(400)
     assert np.array_equal(A_small, A_big[:5])  # buffer growth keeps the prefix
     two = make_drifting_sine_stream(dim=4, drift_rate=0.1, seed=9)
     assert np.array_equal(A_big, two.params_upto(400)[0])
-    assert np.array_equal(t5.sine.freq, A_big[4])
+    # the round-5 task is built from row 4: its gradient is D cos(<a, x> + b) a
+    x = np.linspace(-1.0, 1.0, 4)
+    s = float(np.dot(A_big[4], x)) + B_big[4]
+    assert np.array_equal(t5.grad(x), (one.amplitude * math.cos(s)) * A_big[4])
 
 
 GROWTH_STREAMS = {
