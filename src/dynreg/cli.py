@@ -69,6 +69,9 @@ def _run_seed_job(payload) -> dict:
     dlr = dlr_cumulative(trace, w, cfg.alpha)
     slr = slr_cumulative(trace, w)
     grad_norm_sq = np.einsum("td,td->t", trace.grads, trace.grads)
+    if not np.isfinite(grad_norm_sq).all():
+        bad = int(np.flatnonzero(~np.isfinite(grad_norm_sq))[0])
+        raise NumericError(f"round {bad + 1}'s squared gradient norm overflowed")
     wall = time.perf_counter() - t0
 
     csv_path = Path(out_dir) / f"run_seed{seed}.csv"

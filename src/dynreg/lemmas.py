@@ -19,7 +19,7 @@ from math import fsum
 
 import numpy as np
 
-from .meta import InnerAdaptConfig, RunTrace, run_stream
+from .meta import InnerAdaptConfig, RoundLoss, RunTrace, run_stream
 from .numerics import ConfigError, geometric_sum, spawn_rng_stream
 from .optimizer import alpha_weights, make_config_adagrad, weight_sum_W
 from .regret import exact_smoothed_gradient, variance_proxy
@@ -281,10 +281,11 @@ def check_objective_drift(
     checks S_{t+1}(x_{t+1}) - S_t(x_{t+1}) and S_t(x_t) - S_{t+1}(x_{t+1})
     against their closed-form bounds for every t < T.
     """
+    stream = trace.stream
+    if stream is None:
+        raise ConfigError("trace has no stream attached; cannot rebuild round losses")
     if D is None:
-        if trace.stream is None or not hasattr(trace.stream, "constants"):
-            raise ConfigError("need a loss bound D (stream has no constants())")
-        D = trace.stream.constants().D
+        D = stream.constants().D
     col = _Collector("objective-drift", rhs_scale)
     W = weight_sum_W(alpha, w)
     weights = alpha_weights(alpha, w)
@@ -300,7 +301,7 @@ def check_objective_drift(
     for t in range(1, trace.horizon):
         x_next = trace.iterates[t]
         s_t_here = window_sum(t, losses[t - 1])
-        s_t_next = window_sum(t, trace.round_loss(t).loss(x_next))
+        s_t_next = window_sum(t, RoundLoss(stream.task(t), trace.theta).loss(x_next))
         s_next = window_sum(t + 1, losses[t])
         col.check(s_next - s_t_next, fwd_bound, t=t, seed=trace.seed, side="forward")
         col.check(s_t_here - s_next, back_bound, t=t, seed=trace.seed, side="backward")

@@ -8,7 +8,8 @@ x via the time-smoothed adaptive step.
 
 All stochasticity of round t comes from the stream (seed, t): one adaptation
 draw, then one batched window draw. A run is therefore a pure function of
-(stream, horizon, configs, seed), whichever loop plays it.
+(stream, horizon, configs, seed), whichever loop plays it: run_stream's
+array loop, or run_round called once per round.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from .optimizer import (
     step_size_at,
     weight_sum_W,
 )
-from .tasks import TaskRound, is_sine_stream, sine_argument
+from .tasks import TaskRound, sine_argument
 
 __all__ = [
     "InnerAdaptConfig",
@@ -244,43 +245,15 @@ class RunTrace:
             if not np.all(np.isfinite(arr)):
                 raise NumericError(f"{name} contains non-finite entries")
 
-    def round_loss(self, t: int) -> RoundLoss:
-        """Re-buildable handle for round t's loss (t in 1..horizon)."""
-        if not (1 <= t <= self.horizon):
-            raise ConfigError(f"round index must be in [1, {self.horizon}], got {t}")
-        if self.stream is None:
-            raise ConfigError("trace has no stream attached; cannot rebuild round losses")
-        return RoundLoss(self.stream.task(t), self.theta)
-
-    def record(self, t: int) -> RoundRecord:
-        if not (1 <= t <= self.horizon):
-            raise ConfigError(f"round index must be in [1, {self.horizon}], got {t}")
-        i = t - 1
-        return RoundRecord(
-            t=t,
-            iterate=self.iterates[i],
-            adapted=self.adapted[i],
-            loss=float(self.losses[i]),
-            grad=self.grads[i],
-            smoothed_grad=self.smoothed_grads[i],
-            step_size=float(self.step_sizes[i]),
-        )
-
 
 def _snapshot(stream, horizon, inner, opt, seed, x0) -> dict:
-    spec = stream.spec() if hasattr(stream, "spec") else {"family": "custom"}
-    noise = getattr(stream, "noise", None)
-    noise_spec = (
-        {"kind": noise.kind, "sigma": noise.sigma, "kappa": noise.kappa}
-        if noise is not None
-        else None
-    )
+    noise = stream.noise
     return {
         "horizon": int(horizon),
         "dim": int(stream.dim),
         "seed": int(seed),
-        "stream": spec,
-        "noise": noise_spec,
+        "stream": stream.spec(),
+        "noise": {"kind": noise.kind, "sigma": noise.sigma, "kappa": noise.kappa},
         "adapt": {"theta": inner.theta, "train_batch": inner.train_batch},
         "optimizer": {
             "schedule": opt.schedule,
@@ -302,12 +275,17 @@ def run_stream(
     seed: int,
     x0=None,
 ) -> RunTrace:
-    """Play `horizon` rounds of the stream and return the full trace.
+    """Play `horizon` rounds of a sine-family stream and return the full trace.
 
-    Sine-family streams (those with params_upto and amplitude) are played
-    in an array loop that equals run_round bit for bit; any other stream
-    is played through run_round itself.
+    The stream must expose the sine family's parameter arrays (params_upto,
+    amplitude), its noise, spec() and task(t); the rounds are played in an
+    array loop that equals run_round over stream.task(t) bit for bit.
     """
+    if not hasattr(stream, "params_upto"):
+        raise ConfigError(
+            f"run_stream plays sine-family streams only; {type(stream).__name__} "
+            "has no params_upto"
+        )
     if not isinstance(horizon, (int, np.integer)) or horizon < 1:
         raise ConfigError(f"horizon must be an integer >= 1, got {horizon!r}")
     horizon = int(horizon)
@@ -318,11 +296,11 @@ def run_stream(
         raise DimensionError(f"x0 has length {x0.size}, stream dimension is {stream.dim}")
 
     config = _snapshot(stream, horizon, inner, opt, seed, x0)
-    play = _play_sine_stream if is_sine_stream(stream) else _play_round_by_round
-    # an overflowing sine argument, gradient or iterate raises NumericError
-    # from the loop's own finiteness checks; numpy's warnings would repeat it
+    # an overflowing sine argument, gradient, second moment or iterate raises
+    # NumericError from the loop's own finiteness checks; numpy's warnings
+    # would repeat it
     with np.errstate(over="ignore", invalid="ignore"):
-        arrays = play(stream, horizon, inner, opt, seed, x0)
+        arrays = _play_sine_stream(stream, horizon, inner, opt, seed, x0)
     return RunTrace(
         seed=int(seed),
         horizon=horizon,
@@ -332,33 +310,6 @@ def run_stream(
         stream=stream,
         **arrays,
     )
-
-
-def _trace_arrays(T: int, d: int) -> dict:
-    return {
-        "iterates": np.empty((T, d)),
-        "adapted": np.empty((T, d)),
-        "losses": np.empty(T),
-        "grads": np.empty((T, d)),
-        "smoothed_grads": np.empty((T, d)),
-        "step_sizes": np.empty(T),
-    }
-
-
-def _play_round_by_round(stream, T, inner, opt, seed, x0) -> dict:
-    """The generic path: run_round over stream.task(t), for any stream."""
-    out = _trace_arrays(T, stream.dim)
-    state = make_meta_state(x0, opt)
-    for t in range(1, T + 1):
-        state, rec = run_round(state, stream.task(t), inner, opt, spawn_rng_stream(seed, t))
-        i = t - 1
-        out["iterates"][i] = rec.iterate
-        out["adapted"][i] = rec.adapted
-        out["losses"][i] = rec.loss
-        out["grads"][i] = rec.grad
-        out["smoothed_grads"][i] = rec.smoothed_grad
-        out["step_sizes"][i] = rec.step_size
-    return out
 
 
 def _first_non_finite(v: np.ndarray) -> int:
@@ -393,11 +344,9 @@ def _play_sine_stream(stream, T, inner, opt, seed, x0) -> dict:
     beta1, beta2, eps = opt.beta1, opt.beta2, opt.epsilon
     rng = spawn_rng_stream(seed, 1)
 
-    out = _trace_arrays(T, d)
-    iterates, adapted, losses = out["iterates"], out["adapted"], out["losses"]
-    grads, smoothed, steps = out["grads"], out["smoothed_grads"], out["step_sizes"]
+    iterates, adapted, grads, smoothed = (np.empty((T, d)) for _ in range(4))
+    losses = np.empty(T)
     etas = [step_size_at(opt, t) for t in range(1, T + 1)]
-    steps[:] = etas
 
     ring = np.empty((2 * w, d))
     head = 2 * w
@@ -449,6 +398,11 @@ def _play_sine_stream(stream, T, inner, opt, seed, x0) -> dict:
         # dts_ag_step
         m = beta1 * m + gt
         v = beta2 * v + gt * gt
+        # g~ is finite and beta2 > 0, so v holds no nan: it overflowed iff its max is inf
+        if not math.isfinite(v.max()):
+            raise NumericError(
+                f"second moment overflowed at coordinate {_first_non_finite(v)} (round {t})"
+            )
         x_new = x - etas[i] * m / np.sqrt(eps + v)
         if not np.isfinite(x_new).all():
             raise NumericError(
@@ -461,4 +415,11 @@ def _play_sine_stream(stream, T, inner, opt, seed, x0) -> dict:
         grads[i] = g
         smoothed[i] = gt
         x = x_new
-    return out
+    return {
+        "iterates": iterates,
+        "adapted": adapted,
+        "losses": losses,
+        "grads": grads,
+        "smoothed_grads": smoothed,
+        "step_sizes": np.array(etas),
+    }

@@ -154,10 +154,6 @@ class RngStream:
     def integers(self, low: int, high: int, size=None):
         return self._gen.integers(low, high, size=size)
 
-    @property
-    def generator(self) -> np.random.Generator:
-        return self._gen
-
     def __repr__(self) -> str:  # pragma: no cover - debugging nicety
         return f"RngStream(seed={self.seed}, stream_id={self.stream_id})"
 

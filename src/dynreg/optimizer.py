@@ -159,22 +159,14 @@ def alpha_weights(alpha: float, window: int) -> np.ndarray:
     return alpha ** np.arange(window, dtype=np.float64)
 
 
-class _Slot:
-    __slots__ = ("iterate", "grad")
-
-    def __init__(self, iterate, grad):
-        self.iterate = iterate
-        self.grad = grad
-
-
 class SmoothingWindow:
-    """Ring buffer of the last w (iterate, exact gradient) pairs, newest first.
+    """Ring buffer of the last w exact round-loss gradients, newest first.
 
-    Each slot keeps its iterate and the round loss's exact gradient there,
-    computed once at push time (from the pushed handle unless given); the
-    gradient of a fixed loss at a fixed point is deterministic, and
-    stochasticity is injected per query, not per slot. The handle itself
-    is not kept.
+    Each slot keeps the round loss's exact gradient at that round's
+    iterate, computed once at push time (from the pushed handle unless
+    given); the gradient of a fixed loss at a fixed point is deterministic,
+    and stochasticity is injected per query, not per slot. Neither the
+    handle nor the iterate is kept.
     """
 
     def __init__(self, alpha: float, window: int):
@@ -182,17 +174,14 @@ class SmoothingWindow:
         self.alpha = float(alpha)
         self.window = int(window)
         self.weight_sum = weight_sum_W(alpha, window)
-        self._slots: deque[_Slot] = deque(maxlen=self.window)
+        self._grads: deque[np.ndarray] = deque(maxlen=self.window)
 
     @property
     def occupied(self) -> int:
-        return len(self._slots)
-
-    def __len__(self) -> int:
-        return len(self._slots)
+        return len(self._grads)
 
     def push(self, iterate, handle, grad: Optional[np.ndarray] = None) -> None:
-        """Insert the newest iterate and its round loss's gradient (handle.grad
+        """Insert the round loss's gradient at the newest iterate (handle.grad
         at the iterate unless grad is given), evicting the oldest if full."""
         x = as_vector(iterate, "iterate")
         g = handle.grad(x) if grad is None else as_vector(grad, "grad")
@@ -200,18 +189,11 @@ class SmoothingWindow:
             raise DimensionError(
                 f"gradient shape {g.shape} does not match iterate shape {x.shape}"
             )
-        self._slots.appendleft(_Slot(x, np.asarray(g, dtype=np.float64)))
-
-    def slot(self, r: int) -> _Slot:
-        """Slot r rounds back (r = 0 is the current round's pair)."""
-        return self._slots[r]
-
-    def iterates(self) -> np.ndarray:
-        return np.stack([s.iterate for s in self._slots])
+        self._grads.appendleft(np.asarray(g, dtype=np.float64))
 
     def gradient_matrix(self) -> np.ndarray:
         """Stacked per-slot exact gradients, newest first, shape (occupied, dim)."""
-        return np.stack([s.grad for s in self._slots])
+        return np.stack(self._grads)
 
 
 def smoothed_stochastic_gradient(
@@ -269,6 +251,9 @@ def dts_ag_step(
         )
     m = config.beta1 * state.m + gt
     v = config.beta2 * state.v + gt * gt
+    if not np.all(np.isfinite(v)):
+        bad = int(np.flatnonzero(~np.isfinite(v))[0])
+        raise NumericError(f"second moment overflowed at coordinate {bad} (round {state.t})")
     eta_t = step_size_at(config, state.t)
     x_new = x - eta_t * m / np.sqrt(config.epsilon + v)
     if not np.all(np.isfinite(x_new)):

@@ -20,15 +20,15 @@ guarantee whose C or right-hand side is not finite carries a warning.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .meta import RunTrace
-from .numerics import ConfigError, DimensionError, geometric_sum
+from .numerics import ConfigError, DimensionError, NumericError, geometric_sum
 from .optimizer import ADAM_SCHEDULE, CONSTANT, OptimizerConfig, alpha_weights, weight_sum_W
-from .tasks import LossConstants, NoiseModel, is_sine_stream, sub_gaussian_scale
+from .tasks import LossConstants, NoiseModel, sub_gaussian_scale
 
 __all__ = [
     "ADAGRAD",
@@ -97,35 +97,40 @@ def exact_smoothed_gradient(trace: RunTrace, t: int, w: int, alpha: float) -> np
 def dlr_cumulative(trace: RunTrace, w: int, alpha: float) -> RegretLedger:
     """Dynamic local regret ledger of a trace."""
     _check_window(w, alpha)
-    per_round = _weighted_window_norms(trace.grads, int(w), float(alpha))
-    return RegretLedger(
-        kind="dynamic",
-        window=int(w),
-        alpha=float(alpha),
-        weight_sum=weight_sum_W(alpha, w),
-        per_round=per_round,
-        cumulative=np.cumsum(per_round),
-    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        per_round = _weighted_window_norms(trace.grads, int(w), float(alpha))
+        return _ledger("dynamic", int(w), float(alpha), weight_sum_W(alpha, w), per_round)
 
 
 def slr_cumulative(trace: RunTrace, w: int) -> RegretLedger:
     """Static local regret ledger: past losses re-evaluated at the current iterate."""
     _check_window(w)
     stream = trace.stream
-    if is_sine_stream(stream):
-        A, B = stream.params_upto(trace.horizon)
+    if stream is None:
+        raise ConfigError("trace has no stream attached; cannot rebuild round losses")
+    A, B = stream.params_upto(trace.horizon)
+    with np.errstate(over="ignore", invalid="ignore"):
         per_round = _static_window_norms_sine(
             A, B, trace.iterates, int(w), trace.theta, stream.amplitude
         )
-    else:
-        per_round = _slr_generic(trace, int(w))
+        return _ledger("static", int(w), None, float(w), per_round)
+
+
+def _ledger(kind, w, alpha, weight_sum, per_round) -> RegretLedger:
+    """The ledger of non-negative per-round values. A ledger that overflows
+    is a NumericError (its callers silence numpy's warnings, which would
+    repeat it): every later cumulative value would inherit the inf or nan."""
+    cumulative = np.cumsum(per_round)
+    if not math.isfinite(cumulative[-1]):
+        bad = int(np.flatnonzero(~np.isfinite(cumulative))[0])
+        raise NumericError(f"{kind} local regret is not finite from round {bad + 1} on")
     return RegretLedger(
-        kind="static",
-        window=int(w),
-        alpha=None,
-        weight_sum=float(w),
+        kind=kind,
+        window=w,
+        alpha=alpha,
+        weight_sum=weight_sum,
         per_round=per_round,
-        cumulative=np.cumsum(per_round),
+        cumulative=cumulative,
     )
 
 
@@ -171,22 +176,6 @@ def _static_window_norms_sine(A, B, X, w: int, theta: float, D: float) -> np.nda
     return out
 
 
-def _slr_generic(trace: RunTrace, w: int) -> np.ndarray:
-    """Handle-based static regret for non-sine streams (portable, slow)."""
-    T = trace.horizon
-    out = np.empty(T)
-    handles = [trace.round_loss(t) for t in range(1, T + 1)]
-    for t in range(1, T + 1):
-        occ = min(t, w)
-        x = trace.iterates[t - 1]
-        acc = np.zeros(trace.dim)
-        for r in range(occ):
-            acc += handles[t - 1 - r].grad(x)
-        g = acc / w
-        out[t - 1] = float(g @ g)
-    return out
-
-
 @dataclass(frozen=True)
 class EffectiveConstants:
     """Lipschitz and smoothness constants of the composite round loss."""
@@ -201,13 +190,15 @@ def effective_constants(constants: LossConstants, theta: float) -> EffectiveCons
     L' = (1 + theta gamma) L and gamma' = theta L H + (1 + theta gamma)^2 gamma,
     valid for every theta >= 0.
     """
+    return EffectiveConstants(*_effective(constants, theta))
+
+
+def _effective(constants: LossConstants, theta: float) -> tuple[float, float]:
+    """(L', gamma'); the guarantee calculator skips building the dataclass."""
     if not (math.isfinite(theta) and theta >= 0):
         raise ConfigError(f"theta must be finite and >= 0, got {theta}")
     expand = 1.0 + theta * constants.gamma
-    return EffectiveConstants(
-        L=expand * constants.L,
-        gamma=theta * constants.L * constants.H + expand * expand * constants.gamma,
-    )
+    return expand * constants.L, theta * constants.L * constants.H + expand * expand * constants.gamma
 
 
 @dataclass(frozen=True)
@@ -364,17 +355,15 @@ def _bound(kind, highprob, opt, noise, constants, theta, horizon, dim, delta, va
         raise ConfigError(f"dim must be an integer >= 1, got {dim!r}")
     if not (0.0 < delta < 1.0):
         raise ConfigError(f"delta must be in (0, 1), got {delta}")
-    eff = effective_constants(constants, theta)  # also validates theta
-    Lp, gp = eff.L, eff.gamma
+    Lp, gp = _effective(constants, theta)  # also validates theta
     T, d = int(horizon), int(dim)
-    eta, eps = opt.eta, opt.epsilon
     inputs = {
         "T": T, "dim": d, "delta": float(delta),
-        "eta": eta, "beta1": opt.beta1, "beta2": opt.beta2, "epsilon": eps,
+        "eta": opt.eta, "beta1": opt.beta1, "beta2": opt.beta2, "epsilon": opt.epsilon,
         "alpha": opt.alpha, "w": opt.window, "sigma": float(noise.sigma), "theta": float(theta),
         "D": constants.D, "L": constants.L, "gamma": constants.gamma, "H": constants.H,
     }
-    W = weight_sum_W(opt.alpha, opt.window)
+    kappa = vs = None
     if highprob:
         kappa = noise.kappa_for(d)
         if kappa is None:
@@ -383,16 +372,48 @@ def _bound(kind, highprob, opt, noise, constants, theta, horizon, dim, delta, va
                 "noise model is exact and provides none"
             )
         inputs["kappa"] = kappa
+    if kind == ADAM:
+        vs = math.sqrt(1.0 - opt.beta2) if varsigma is None else float(varsigma)
+        if not (math.isfinite(vs) and vs > 0):
+            raise ConfigError(f"varsigma must be positive and finite, got {vs}")
+        inputs["varsigma"] = vs
+    reals = (
+        weight_sum_W(opt.alpha, opt.window), constants.D, Lp, gp, opt.eta,
+        opt.epsilon, opt.beta1, opt.beta2, float(delta), float(noise.sigma), kappa, vs,
+    )
+    try:
+        derived, rhs, warnings = _guarantee(kind, highprob, T, d, *reals)
+    except ArithmeticError as exc:
+        # Python's float arithmetic raises where IEEE arithmetic overflows to
+        # inf or divides by a power that underflowed to zero (delta^2 at
+        # delta=1e-200); the terms are re-evaluated in IEEE arithmetic
+        ieee = [None if v is None else np.float64(v) for v in reals]
+        with np.errstate(all="ignore"):
+            derived, _, _ = _guarantee(kind, highprob, T, d, *ieee)
+        derived = {k: float(v) for k, v in derived.items()}
+        rhs = math.inf
+        why = (
+            "overflowed" if isinstance(exc, OverflowError)
+            else "divided by a value that underflowed to zero"
+        )
+        warnings = [f"an intermediate term {why}; the right-hand side is reported as infinite"]
+    theorem = f"{kind}-highprob" if highprob else f"{kind}-expectation"
+    return BoundReport(theorem, inputs, derived, rhs, tuple(warnings))
+
+
+def _guarantee(kind, highprob, T, d, W, D, Lp, gp, eta, eps, b1, b2, delta, sigma, kappa, vs):
+    """The derived terms, right-hand side and warnings of one guarantee."""
+    if highprob:
         log_inv = math.log(1.0 / delta)
         zeta = kappa**2 * (1.0 + log_inv)  # kappa^2 ln(e/delta)
         noise_scale = math.sqrt(zeta) / math.sqrt(W)
     else:
-        zeta = noise.sigma**2 / W
+        zeta = sigma**2 / W
         noise_scale = math.sqrt(zeta)
     warnings: list[str] = []
 
     if kind == ADAGRAD:
-        varpi1 = 4.0 * constants.D * T / (W * eta)
+        varpi1 = 4.0 * D * T / (W * eta)
         varpi2 = eta * gp / 2.0 + 2.0 * noise_scale
         C = varpi1 + varpi2 * d * math.log1p(2.0 * (zeta + Lp**2) * T / (d * eps))
         if highprob:
@@ -409,13 +430,8 @@ def _bound(kind, highprob, opt, noise, constants, theta, horizon, dim, delta, va
                 + 48.0 * C * C / delta**2
             )
     else:
-        b1, b2 = opt.beta1, opt.beta2
-        vs = math.sqrt(1.0 - b2) if varsigma is None else float(varsigma)
-        if not (math.isfinite(vs) and vs > 0):
-            raise ConfigError(f"varsigma must be positive and finite, got {vs}")
-        inputs["varsigma"] = vs
         q = 1.0 - b1 / b2
-        varpi1 = 4.0 * constants.D * T / W + 8.0 * T * eta * (1.0 - b1) * Lp**2 / (
+        varpi1 = 4.0 * D * T / W + 8.0 * T * eta * (1.0 - b1) * Lp**2 / (
             b1 * math.sqrt(1.0 - b2) * W * W
         )
         varpi2 = (
@@ -466,8 +482,7 @@ def _bound(kind, highprob, opt, noise, constants, theta, horizon, dim, delta, va
     if highprob and kind == ADAM:
         derived["varpi3"] = varpi3
     derived["C"] = C
-    theorem = f"{kind}-highprob" if highprob else f"{kind}-expectation"
-    return BoundReport(theorem, inputs, derived, rhs, tuple(warnings))
+    return derived, rhs, warnings
 
 
 @dataclass(frozen=True, eq=False)

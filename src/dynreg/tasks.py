@@ -21,14 +21,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .numerics import (
-    ConfigError,
-    DimensionError,
-    NumericError,
-    RngStream,
-    as_vector,
-    spawn_rng_stream,
-)
+from .numerics import ConfigError, NumericError, RngStream, spawn_rng_stream
 
 __all__ = [
     "EXACT",
@@ -39,13 +32,11 @@ __all__ = [
     "TaskRound",
     "SineDriftStream",
     "PiecewiseDriftStream",
-    "is_sine_stream",
     "sine_argument",
     "loss_constants",
     "sub_gaussian_scale",
     "make_drifting_sine_stream",
     "make_piecewise_drift_stream",
-    "sample_stochastic_gradient",
 ]
 
 EXACT = "exact"
@@ -404,13 +395,6 @@ class PiecewiseDriftStream(_SineStreamBase):
         }
 
 
-def is_sine_stream(stream) -> bool:
-    """Whether a stream exposes the sine family's parameter arrays
-    (params_upto and amplitude), which the array run loop and the static
-    ledger read directly; any other stream is played through its tasks."""
-    return hasattr(stream, "params_upto") and hasattr(stream, "amplitude")
-
-
 def make_drifting_sine_stream(
     dim: int,
     amplitude: float = 1.0,
@@ -440,19 +424,3 @@ def make_piecewise_drift_stream(
     return PiecewiseDriftStream(
         dim, segment_length, jump_scale, amplitude, freq_scale, noise, seed
     )
-
-
-def sample_stochastic_gradient(task: TaskRound, x, rng: RngStream) -> np.ndarray:
-    """One stochastic gradient of the round loss at x: exact gradient plus noise."""
-    xv = as_vector(x, "x")
-    if xv.size != task.dim:
-        raise DimensionError(f"x has length {xv.size}, task dimension is {task.dim}")
-    g = task.grad(xv)
-    if task.noise.is_exact:
-        out = np.array(g, dtype=np.float64)
-    else:
-        out = g + task.noise.draw(rng, task.dim)
-    if not np.all(np.isfinite(out)):
-        bad = int(np.flatnonzero(~np.isfinite(out))[0])
-        raise NumericError(f"stochastic gradient non-finite at coordinate {bad}")
-    return out

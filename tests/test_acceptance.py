@@ -77,7 +77,8 @@ def test_criterion_02_smoothed_gradient_unbiased_within_five_standard_errors():
 
     window = SmoothingWindow(alpha, w)
     for t in range(1, w + 1):
-        window.push(trace.iterates[t - 1], trace.round_loss(t), grad=trace.grads[t - 1])
+        rl = RoundLoss(stream.task(t), trace.theta)
+        window.push(trace.iterates[t - 1], rl, grad=trace.grads[t - 1])
     exact = exact_smoothed_gradient(trace, w, w, alpha)
     noiseless = smoothed_stochastic_gradient(window, NoiseModel(EXACT), spawn_rng_stream(0, 1))
     assert np.array_equal(noiseless, exact)

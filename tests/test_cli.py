@@ -2,8 +2,13 @@
 
 import json
 import math
+import tempfile
+import warnings
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from dynreg import cli
 
@@ -124,6 +129,43 @@ def test_overflowing_sine_argument_exits_with_numeric_error(tmp_path, capsys):
     assert "numeric error: round 48 produced a non-finite sine argument" in err
 
 
+def test_overflowing_second_moment_exits_with_numeric_error(tmp_path, capsys):
+    # v <- beta2 v + g~^2 overflows long before the iterate stops being finite
+    rc = cli.main(["run", "--set", "stream.amplitude=1.2e154", "--set", "adapt.theta=0",
+                   "--seed-list", "0", "--out", str(tmp_path)])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert "numeric error: second moment overflowed at coordinate 7 (round 284)" in err
+
+
+def test_overflowing_squared_gradient_norm_exits_with_numeric_error(tmp_path, capsys):
+    # each coordinate of round 1's gradient is finite, its squared norm is not
+    rc = cli.main(["run", "--set", "horizon=1", "--set", "stream.amplitude=1e78",
+                   "--seed-list", "0", "--out", str(tmp_path)])
+    assert rc == 3
+    assert "numeric error: round 1's squared gradient norm overflowed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "settings, theorem, why",
+    [
+        (("delta=1e-200",), "adagrad-expectation", "divided by a value that underflowed to zero"),
+        (('optimizer.preset="adam"', "optimizer.varsigma=1e300"), "adam-expectation", "overflowed"),
+    ],
+    ids=["delta-squared-underflows", "varsigma-squared-overflows"],
+)
+def test_bounds_reports_a_raising_intermediate_term_as_infinite(tmp_path, capsys, settings, theorem, why):
+    overrides = [arg for setting in settings for arg in ("--set", setting)]
+    rc = cli.main(["bounds", *overrides, "--out", str(tmp_path)])
+    assert rc == 0
+    warning = f"an intermediate term {why}; the right-hand side is reported as infinite"
+    assert f"{theorem}: rhs=inf -> " in capsys.readouterr().out
+    rec = json.loads((tmp_path / f"bound_{theorem}.json").read_text())
+    assert rec["rhs"] == math.inf
+    assert rec["warnings"] == [warning]
+    assert math.isfinite(rec["varpi1"])
+
+
 def test_bounds_writes_a_report_per_theorem(tmp_path, capsys):
     rc = cli.main(["bounds", *FAST, "--out", str(tmp_path)])
     assert rc == 0
@@ -215,3 +257,60 @@ def test_parallel_jobs_match_serial_output(tmp_path):
         a = json.loads((serial / f"summary_seed{seed}.json").read_text())
         b = json.loads((parallel / f"summary_seed{seed}.json").read_text())
         assert a["final_dlr"] == b["final_dlr"]
+
+
+def _magnitudes(lo, hi):
+    """Powers of ten with exponents in [lo, hi], ends included."""
+    return st.one_of(
+        st.sampled_from([10.0**lo, 10.0**hi]),
+        st.floats(min_value=lo, max_value=hi).map(lambda e: 10.0**e),
+    )
+
+
+EXTREME_SETTINGS = {
+    "stream.amplitude": _magnitudes(-300, 308),
+    "stream.freq_scale": _magnitudes(-300, 308),
+    "optimizer.eta": _magnitudes(-300, 308),
+    "optimizer.epsilon": _magnitudes(-300, 308),
+    "delta": _magnitudes(-300, -1e-16),
+    "optimizer.varsigma": _magnitudes(-300, 308),
+    "noise.sigma": _magnitudes(-300, 308),
+}
+
+
+@st.composite
+def extreme_commands(draw):
+    command = draw(st.sampled_from(["run", "bounds"]))
+    chosen = draw(st.lists(st.sampled_from(sorted(EXTREME_SETTINGS)), min_size=1, unique=True))
+    sets = [f"{key}={draw(EXTREME_SETTINGS[key])!r}" for key in chosen]
+    max_horizon = 50 if command == "run" else 10**18
+    sets.append(f"horizon={draw(st.integers(min_value=1, max_value=max_horizon))}")
+    sets.append(f'optimizer.preset="{draw(st.sampled_from(["adagrad", "adam"]))}"')
+    return command, ["--set", "dim=3", "--set", "smoothing.window=4"] + [
+        arg for item in sets for arg in ("--set", item)
+    ]
+
+
+@given(extreme_commands())
+@settings(max_examples=50, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_extreme_settings_exit_cleanly_with_finite_or_flagged_artifacts(case):
+    command, args = case
+    if command == "run":
+        args = args + ["--seed-list", "0"]
+    with tempfile.TemporaryDirectory() as out, warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rc = cli.main([command, *args, "--out", out])
+        assert rc in (0, 2, 3)
+        if rc != 0:
+            return
+        if command == "run":
+            rows = (Path(out) / "run_seed0.csv").read_text().splitlines()[1:]
+            assert all(math.isfinite(float(v)) for row in rows for v in row.split(","))
+            summary = json.loads((Path(out) / "summary_seed0.json").read_text())
+            assert math.isfinite(summary["final_dlr"]) and math.isfinite(summary["final_slr"])
+        else:
+            for path in Path(out).glob("bound_*.json"):
+                rec = json.loads(path.read_text())
+                # a guarantee that is not finite says so
+                numbers = [v for v in rec.values() if isinstance(v, float)]
+                assert all(math.isfinite(v) for v in numbers) or rec["warnings"]

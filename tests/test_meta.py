@@ -6,6 +6,7 @@ import re
 import numpy as np
 import pytest
 
+import dynreg
 from dynreg import (
     EXACT,
     GAUSSIAN,
@@ -26,10 +27,12 @@ from dynreg import (
     make_piecewise_drift_stream,
     run_round,
     run_stream,
+    slr_cumulative,
     smoothed_stochastic_gradient,
     spawn_rng_stream,
     step_size_at,
 )
+from dynreg.config import load_config
 from dynreg.numerics import finite_difference_gradient
 
 
@@ -168,12 +171,17 @@ NON_FINITE_CASES = {
     "round-loss": (
         3, 1e308, 0.5, 0.05, 0.2, 0.0, r"round 1 produced a non-finite loss or gradient"
     ),
+    # one window draw overflows in round 1; later, the second moment would first
     "smoothed": (
-        3, 1.0, 1e308, 0.05, 0.2, 0.0, r"smoothed gradient has a non-finite entry at coordinate \d"
+        4, 1.0, 1.7e308, 0.05, 0.2, 0.0, r"smoothed gradient has a non-finite entry at coordinate \d"
     ),
     "iterate": (
         3, 1.0, 0.5, 0.05, 1e308, 1.5e308,
         r"update produced a non-finite iterate at coordinate \d \(round 1\)",
+    ),
+    "second-moment": (
+        3, 1.0, 1e155, 0.05, 0.2, 0.0,
+        r"second moment overflowed at coordinate \d \(round \d\)",
     ),
 }
 
@@ -236,7 +244,7 @@ def test_run_stream_reports_a_non_finite_sine_argument_like_the_round_loop(case)
     assert message == "round 1 produced a non-finite sine argument <a, x> + b"
 
 
-def test_trace_round_loss_reproduces_recorded_values():
+def test_round_losses_rebuilt_from_the_stream_reproduce_recorded_values():
     trace = run_stream(
         _stream(),
         12,
@@ -245,15 +253,10 @@ def test_trace_round_loss_reproduces_recorded_values():
         seed=5,
     )
     for t in (1, 7, 12):
-        rl = trace.round_loss(t)
+        rl = RoundLoss(trace.stream.task(t), trace.theta)
         x = trace.iterates[t - 1]
         assert rl.loss(x) == trace.losses[t - 1]
         assert np.array_equal(rl.grad(x), trace.grads[t - 1])
-        rec = trace.record(t)
-        assert rec.t == t
-        assert rec.loss == trace.losses[t - 1]
-    with pytest.raises(ConfigError):
-        trace.round_loss(13)
 
 
 def test_trace_step_sizes_follow_the_schedule():
@@ -301,10 +304,59 @@ def test_run_trace_shape_and_finite_validation():
     )
     trace = RunTrace(seed=0, horizon=T, dim=d, theta=0.0, **arrays)
     with pytest.raises(ConfigError):
-        trace.round_loss(1)  # no stream attached, losses cannot be rebuilt
+        slr_cumulative(trace, 1)  # no stream attached, losses cannot be rebuilt
     bad = dict(arrays, losses=np.zeros(T + 1))
     with pytest.raises(DimensionError):
         RunTrace(seed=0, horizon=T, dim=d, theta=0.0, **bad)
     nan = dict(arrays, grads=np.full((T, d), math.nan))
     with pytest.raises(NumericError):
         RunTrace(seed=0, horizon=T, dim=d, theta=0.0, **nan)
+
+
+# the stream-long shapes of perfbench/workloads.py, cut to 20 rounds
+TRACED_LOOP_SHAPES = {
+    "defaults": ("horizon=20",),
+    "momentum": (
+        "horizon=20",
+        "optimizer.preset=adam",
+        "smoothing.alpha=0.9",
+        "smoothing.window=64",
+        "stream.family=piecewise-sine",
+        "noise.kind=subgaussian",
+    ),
+}
+
+
+@pytest.mark.parametrize("shape", list(TRACED_LOOP_SHAPES))
+def test_the_benchmarks_traced_loop_calls_reproduce_run_stream(shape):
+    """perfbench/run.py's traced_loop plays a run through these public calls,
+    in this order, and compares its six arrays with run_stream's; this test
+    keeps `perfbench/run.py --trace 1` working."""
+    d = dynreg
+    cfg = load_config(None, TRACED_LOOP_SHAPES[shape])
+    seed, T = 1, cfg.horizon
+    inner, opt = cfg.inner(), cfg.optimizer()
+    ref = d.run_stream(cfg.stream(seed), T, inner, opt, seed=seed)
+
+    stream = cfg.stream(seed)
+    state = d.make_meta_state(np.zeros(stream.dim), opt)
+    out = {name: [] for name in ("iterates", "adapted", "losses", "grads", "smoothed_grads", "step_sizes")}
+    for t in range(1, T + 1):
+        rng = d.spawn_rng_stream(seed, t)
+        task = stream.task(t)
+        x = state.x
+        xhat = d.inner_adapt(x, task, inner, rng)
+        rl = d.RoundLoss(task, inner.theta)
+        loss_val, grad_val = rl.value_and_grad(x)
+        assert np.isfinite(loss_val) and np.all(np.isfinite(grad_val))
+        state.window.push(x, rl, grad=grad_val)
+        gtilde = d.smoothed_stochastic_gradient(state.window, task.noise, rng)
+        eta_t = d.step_size_at(opt, state.optimizer.t)
+        x_new, opt_state = d.dts_ag_step(state.optimizer, opt, x, gtilde)
+        for name, value in zip(out, (x, xhat, loss_val, grad_val, gtilde, eta_t)):
+            out[name].append(value)
+        state.x = x_new
+        state.optimizer = opt_state
+    assert issubclass(d.NumericError, ArithmeticError)  # traced_loop raises it by name
+    for name, rows in out.items():
+        assert np.array_equal(np.array(rows), getattr(ref, name)), name

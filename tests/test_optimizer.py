@@ -159,10 +159,7 @@ def test_window_keeps_newest_first_and_evicts():
     for val in (1.0, 2.0, 3.0):
         win.push(np.array([val]), _FixedGrad([val]))
     assert win.occupied == 2
-    assert len(win) == 2
     assert win.gradient_matrix().ravel().tolist() == [3.0, 2.0]
-    assert win.iterates().ravel().tolist() == [3.0, 2.0]
-    assert win.slot(1).grad.tolist() == [2.0]
     assert win.weight_sum == 1.5
 
 

@@ -16,8 +16,9 @@ from dynreg import (
     ConfigError,
     InnerAdaptConfig,
     NoiseModel,
+    NumericError,
+    RoundLoss,
     RunTrace,
-    TaskRound,
     bound_expectation,
     bound_highprob,
     dlr_cumulative,
@@ -27,6 +28,7 @@ from dynreg import (
     loss_constants,
     make_config_adagrad,
     make_config_adam,
+    make_drifting_sine_stream,
     run_stream,
     slr_cumulative,
     spawn_rng_stream,
@@ -124,7 +126,7 @@ def test_slr_matches_a_handle_oracle(gaussian_trace):
         x = trace.iterates[t - 1]
         acc = np.zeros(trace.dim)
         for r in range(occ):
-            acc += trace.round_loss(t - r).grad(x)
+            acc += RoundLoss(trace.stream.task(t - r), trace.theta).grad(x)
         g = acc / w
         assert ledger.per_round[t - 1] == pytest.approx(float(g @ g), rel=1e-9, abs=1e-12)
 
@@ -135,47 +137,19 @@ def test_slr_requires_rebuildable_losses():
         slr_cumulative(trace, 2)
 
 
-def _quad_task(index, center):
-    c = np.asarray(center, dtype=np.float64)
-
-    def loss(x):
-        d = x - c
-        return 0.5 * float(d @ d)
-
-    def grad(x):
-        return x - c
-
-    def hess_vec(x, v):
-        return np.asarray(v, dtype=np.float64)
-
-    return TaskRound(
-        index=index, dim=c.size, noise=NoiseModel(EXACT),
-        loss=loss, grad=grad, hess_vec=hess_vec,
-    )
-
-
 class _QuadStream:
-    """Two-coordinate quadratic stream exercising the generic run paths."""
+    """A stream with rounds but without the sine family's parameter arrays."""
 
     dim = 2
 
     def task(self, t):
-        return _quad_task(t, [float(t), -float(t)])
+        raise AssertionError("run_stream must reject the stream before playing a round")
 
 
-def test_generic_stream_uses_portable_path_and_static_ledger():
-    stream = _QuadStream()
+def test_run_stream_rejects_a_stream_without_sine_parameters():
     opt = make_config_adagrad(eta=0.1, alpha=1.0, window=2)
-    trace = run_stream(stream, 4, InnerAdaptConfig(theta=0.0), opt, seed=0)
-    ledger = slr_cumulative(trace, 2)
-    for t in (1, 4):
-        occ = min(t, 2)
-        x = trace.iterates[t - 1]
-        acc = np.zeros(2)
-        for r in range(occ):
-            acc = acc + (x - np.array([float(t - r), -float(t - r)]))
-        g = acc / 2.0
-        assert ledger.per_round[t - 1] == pytest.approx(float(g @ g), rel=1e-12, abs=1e-15)
+    with pytest.raises(ConfigError, match="sine-family streams only"):
+        run_stream(_QuadStream(), 4, InnerAdaptConfig(theta=0.0), opt, seed=0)
 
 
 def test_effective_constants_hand_values():
@@ -366,3 +340,17 @@ def test_logarithmic_fit_validation():
         logarithmic_fit([1, 2, 3], [1.0, 2.0, 3.0])
     with pytest.raises(ConfigError):
         logarithmic_fit([10, 20, 40], [1.0, math.nan, 3.0])
+
+
+def test_dlr_ledger_that_overflows_is_a_numeric_error():
+    trace = _trace_from_grads([[1.0], [1e200], [1.0]])
+    with pytest.raises(NumericError, match="dynamic local regret is not finite from round 2 on"):
+        dlr_cumulative(trace, 1, 1.0)
+
+
+def test_slr_ledger_that_overflows_is_a_numeric_error():
+    # every gradient is finite (|D cos| <= 1e200); their squared norms are not
+    trace = _trace_from_grads(np.zeros((3, 1)))
+    trace.stream = make_drifting_sine_stream(dim=1, amplitude=1e200, seed=0)
+    with pytest.raises(NumericError, match="static local regret is not finite from round 1 on"):
+        slr_cumulative(trace, 2)

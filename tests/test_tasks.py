@@ -10,14 +10,12 @@ from dynreg import (
     GAUSSIAN,
     SUBGAUSSIAN,
     ConfigError,
-    DimensionError,
     NoiseModel,
     NumericError,
     loss_constants,
     make_drifting_sine_stream,
     make_piecewise_drift_stream,
     make_sine_task,
-    sample_stochastic_gradient,
     spawn_rng_stream,
     sub_gaussian_scale,
 )
@@ -77,6 +75,13 @@ def test_noise_model_total_second_moment():
     assert est == pytest.approx(0.25, rel=0.02)
 
 
+def test_noise_model_draws_are_centred():
+    noise = NoiseModel(GAUSSIAN, sigma=0.8)
+    n = 50_000
+    draws = noise.draw(spawn_rng_stream(0, 2), 3, reps=n)
+    assert float(np.linalg.norm(draws.mean(axis=0))) <= 5.0 * 0.8 / math.sqrt(n)
+
+
 def test_noise_model_kappa_passthrough_and_derivation():
     assert NoiseModel(GAUSSIAN, sigma=0.5, kappa=2.0).kappa_for(7) == 2.0
     derived = NoiseModel(SUBGAUSSIAN, sigma=0.5).kappa_for(7)
@@ -122,28 +127,6 @@ def test_sine_argument_is_checked_in_every_oracle():
         for oracle in (task.loss, task.grad, lambda x: task.hess_vec(x, x)):
             with pytest.raises(NumericError, match=message):
                 oracle(big)
-
-
-def test_is_sine_stream_needs_both_parameter_arrays():
-    assert tasks.is_sine_stream(make_drifting_sine_stream(dim=2, seed=0))
-    assert tasks.is_sine_stream(
-        make_piecewise_drift_stream(dim=2, segment_length=4, jump_scale=0.1, seed=0)
-    )
-
-    class Amplitude:
-        amplitude = 1.0
-
-    class Params:
-        def params_upto(self, t):
-            raise AssertionError("the predicate must not read the arrays")
-
-    class Both(Amplitude, Params):
-        pass
-
-    assert not tasks.is_sine_stream(Amplitude())
-    assert not tasks.is_sine_stream(Params())
-    assert tasks.is_sine_stream(Both())
-    assert not tasks.is_sine_stream(make_drifting_sine_stream(dim=2, seed=0).task(1))
 
 
 def test_drifting_stream_rows_keep_the_frequency_norm():
@@ -241,27 +224,3 @@ def test_stream_specs_record_the_family():
     assert drifting.spec()["family"] == "drifting-sine"
     assert piecewise.spec()["family"] == "piecewise-sine"
     assert drifting.constants().D == 1.0
-
-
-def test_sample_stochastic_gradient_exact_and_validated():
-    stream = make_drifting_sine_stream(dim=3, seed=0)
-    task = stream.task(1)
-    x = np.array([0.1, 0.2, 0.3])
-    g = sample_stochastic_gradient(task, x, spawn_rng_stream(0, 1))
-    assert np.array_equal(g, task.grad(x))
-    with pytest.raises(DimensionError):
-        sample_stochastic_gradient(task, np.zeros(2), spawn_rng_stream(0, 1))
-
-
-def test_sample_stochastic_gradient_noise_mean():
-    noise = NoiseModel(GAUSSIAN, sigma=0.8)
-    stream = make_drifting_sine_stream(dim=3, noise=noise, seed=0)
-    task = stream.task(1)
-    x = np.zeros(3)
-    rng = spawn_rng_stream(0, 2)
-    acc = np.zeros(3)
-    n = 50_000
-    for _ in range(n):
-        acc += sample_stochastic_gradient(task, x, rng)
-    dev = float(np.linalg.norm(acc / n - task.grad(x)))
-    assert dev <= 5.0 * 0.8 / math.sqrt(n)
