@@ -31,6 +31,7 @@ from .optimizer import (
     OptimizerConfig,
     OptimizerState,
     SmoothingWindow,
+    _weighted_row_sum,
     alpha_weights,
     dts_ag_step,
     make_state,
@@ -390,7 +391,7 @@ def _play_sine_stream(stream, T, inner, opt, seed, x0) -> dict:
         rows = ring[head : head + occ]
         if noisy:
             rows = rows + z[1:]
-        gt = (weights[:occ, None] * rows).sum(axis=0) / W
+        gt = _weighted_row_sum(opt.alpha, weights, rows) / W
         if not np.isfinite(gt).all():
             raise NumericError(
                 f"smoothed gradient has a non-finite entry at coordinate {_first_non_finite(gt)}"

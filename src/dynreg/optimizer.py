@@ -159,6 +159,17 @@ def alpha_weights(alpha: float, window: int) -> np.ndarray:
     return alpha ** np.arange(window, dtype=np.float64)
 
 
+def _weighted_row_sum(alpha: float, weights: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """sum_r weights[r] rows[r] over the rows, newest first.
+
+    At alpha = 1 every weight is exactly 1.0, so each product is an exact
+    copy of its row and the plain sum is the same number at lower cost.
+    """
+    if alpha == 1.0:
+        return rows.sum(axis=0)
+    return (weights[: len(rows), None] * rows).sum(axis=0)
+
+
 class SmoothingWindow:
     """Ring buffer of the last w exact round-loss gradients, newest first.
 
@@ -211,8 +222,7 @@ def smoothed_stochastic_gradient(
     G = window.gradient_matrix()
     if not noise.is_exact:
         G = G + noise.draw(rng, G.shape[1], reps=occ)
-    weighted = window.weights[:occ, None] * G
-    return weighted.sum(axis=0) / window.weight_sum
+    return _weighted_row_sum(window.alpha, window.weights, G) / window.weight_sum
 
 
 def step_size_at(config: OptimizerConfig, t: int) -> float:

@@ -27,8 +27,15 @@ import numpy as np
 
 from .meta import RunTrace
 from .numerics import ConfigError, DimensionError, NumericError, geometric_sum
-from .optimizer import ADAM_SCHEDULE, CONSTANT, OptimizerConfig, alpha_weights, weight_sum_W
-from .tasks import LossConstants, NoiseModel, sub_gaussian_scale
+from .optimizer import (
+    ADAM_SCHEDULE,
+    CONSTANT,
+    OptimizerConfig,
+    _weighted_row_sum,
+    alpha_weights,
+    weight_sum_W,
+)
+from .tasks import LossConstants, NoiseModel, _power, sub_gaussian_scale
 
 __all__ = [
     "ADAGRAD",
@@ -90,8 +97,7 @@ def exact_smoothed_gradient(trace: RunTrace, t: int, w: int, alpha: float) -> np
     occ = min(int(t), int(w))
     W = weight_sum_W(alpha, w)
     rows = trace.grads[t - occ : t][::-1]  # newest first
-    weights = alpha_weights(alpha, w)[:occ]
-    return (weights[:, None] * rows).sum(axis=0) / W
+    return _weighted_row_sum(alpha, alpha_weights(alpha, w), rows) / W
 
 
 def dlr_cumulative(trace: RunTrace, w: int, alpha: float) -> RegretLedger:
@@ -152,28 +158,29 @@ def _weighted_window_norms(G, w: int, alpha: float) -> np.ndarray:
 
 def _static_window_norms_sine(A, B, X, w: int, theta: float, D: float) -> np.ndarray:
     """Per-round squared norms of the plain window average of past composite
-    gradients, all re-evaluated at the round's own iterate."""
+    gradients, all re-evaluated at the round's own iterate.
+
+    The loop runs over lags: lag r pairs round t - r's loss with iterate x_t
+    for every t > r at once, and adds into each round's gradient sum in lag
+    order. With s = <a, x> + b and U = x - theta D cos(s) a, the inner
+    argument is <a, U> + b = s - theta D cos(s) ||a||^2 and the gradient is
+    D cos(s2) (1 + theta D sin(s) ||a||^2) a, so U is never built.
+    """
     A = np.ascontiguousarray(A, dtype=np.float64)
     B = np.ascontiguousarray(B, dtype=np.float64)
     X = np.ascontiguousarray(X, dtype=np.float64)
     T = X.shape[0]
-    out = np.empty(T)
-    for t in range(1, T + 1):
-        occ = min(t, w)
-        Aw = A[t - occ : t][::-1]
-        Bw = B[t - occ : t][::-1]
-        x = X[t - 1]
-        s = Aw @ x + Bw
-        cs = np.cos(s)
-        sn = np.sin(s)
-        U = x[None, :] - theta * (D * cs)[:, None] * Aw
-        s2 = np.einsum("rd,rd->r", Aw, U) + Bw
-        c2 = np.cos(s2)
-        dot_ag = D * c2 * np.einsum("rd,rd->r", Aw, Aw)
-        F = (D * c2 + theta * D * sn * dot_ag)[:, None] * Aw
-        g = F.sum(axis=0) / w
-        out[t - 1] = float(g @ g)
-    return out
+    thD = theta * D
+    norms = np.einsum("td,td->t", A, A)
+    G = np.zeros_like(X)
+    for r in range(min(w, T)):
+        a, n2 = A[: T - r], norms[: T - r]
+        s = np.einsum("td,td->t", a, X[r:]) + B[: T - r]
+        s2 = s - thD * np.cos(s) * n2
+        coef = D * np.cos(s2) * (1.0 + thD * np.sin(s) * n2)
+        G[r:] += coef[:, None] * a
+    G /= w
+    return np.einsum("td,td->t", G, G)
 
 
 @dataclass(frozen=True)
@@ -244,8 +251,9 @@ def variance_proxy(
     w = int(window)
     W = weight_sum_W(alpha, w)
     ssum = _sq_weight_sum(alpha, w)
-    mu = noise.sigma**2 * ssum / (W * W)
-    zeta = noise.sigma**2 / W
+    sigma2 = _power(noise.sigma, 2)
+    mu = sigma2 * ssum / (W * W)
+    zeta = sigma2 / W
     zeta_hp = None
     mubar = None
     kappa = noise.kappa
@@ -256,8 +264,9 @@ def variance_proxy(
             raise ConfigError(f"delta must be in (0, 1), got {delta}")
         if kappa is not None:
             log_inv = math.log(1.0 / delta)
-            zeta_hp = kappa**2 * (1.0 + log_inv)
-            mubar = kappa**2 * (w * ssum / (W * W) + log_inv)
+            kappa2 = _power(kappa, 2)
+            zeta_hp = kappa2 * (1.0 + log_inv)
+            mubar = kappa2 * (w * ssum / (W * W) + log_inv)
     return VarianceProxy(
         sigma=noise.sigma,
         kappa=kappa,
@@ -386,10 +395,11 @@ def _bound(kind, highprob, opt, noise, constants, theta, horizon, dim, delta, va
     except ArithmeticError as exc:
         # Python's float arithmetic raises where IEEE arithmetic overflows to
         # inf or divides by a power that underflowed to zero (delta^2 at
-        # delta=1e-200); the terms are re-evaluated in IEEE arithmetic
-        ieee = [None if v is None else np.float64(v) for v in reals]
+        # delta=1e-200), and so does a horizon too large for a float; the
+        # terms are re-evaluated in IEEE arithmetic
+        ieee = [None if v is None else _ieee(v) for v in (T, d, *reals)]
         with np.errstate(all="ignore"):
-            derived, _, _ = _guarantee(kind, highprob, T, d, *ieee)
+            derived, _, _ = _guarantee(kind, highprob, *ieee)
         derived = {k: float(v) for k, v in derived.items()}
         rhs = math.inf
         why = (
@@ -399,6 +409,14 @@ def _bound(kind, highprob, opt, noise, constants, theta, horizon, dim, delta, va
         warnings = [f"an intermediate term {why}; the right-hand side is reported as infinite"]
     theorem = f"{kind}-highprob" if highprob else f"{kind}-expectation"
     return BoundReport(theorem, inputs, derived, rhs, tuple(warnings))
+
+
+def _ieee(v) -> np.float64:
+    """v as an IEEE double; an integer too large for one is inf."""
+    try:
+        return np.float64(v)
+    except OverflowError:
+        return np.float64(math.inf)
 
 
 def _guarantee(kind, highprob, T, d, W, D, Lp, gp, eta, eps, b1, b2, delta, sigma, kappa, vs):

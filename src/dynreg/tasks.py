@@ -84,7 +84,8 @@ def loss_constants(amplitude: float, freq_scale: float) -> LossConstants:
 
 def _power(base: float, k: int) -> float:
     """base**k, or inf where it overflows (float pow raises OverflowError
-    there), so that LossConstants reports the overflow as a ConfigError."""
+    there), so that LossConstants reports the overflow as a ConfigError and
+    variance_proxy reports an infinite mu."""
     try:
         return base**k
     except OverflowError:

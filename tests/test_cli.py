@@ -166,6 +166,24 @@ def test_bounds_reports_a_raising_intermediate_term_as_infinite(tmp_path, capsys
     assert math.isfinite(rec["varpi1"])
 
 
+@pytest.mark.parametrize("preset", ["adagrad", "adam"])
+def test_bounds_reports_a_horizon_too_large_for_a_float_as_infinite(tmp_path, capsys, preset):
+    horizon = 10**309
+    rc = cli.main(["bounds", "--set", f"horizon={horizon}", "--set", f'optimizer.preset="{preset}"',
+                   "--out", str(tmp_path)])
+    assert rc == 0
+    warning = "an intermediate term overflowed; the right-hand side is reported as infinite"
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 2
+    for theorem, line in zip((f"{preset}-expectation", f"{preset}-highprob"), lines):
+        assert line.startswith(f"{theorem}: rhs=inf -> ")
+        rec = json.loads((tmp_path / f"bound_{theorem}.json").read_text())
+        assert rec["T"] == horizon
+        assert rec["rhs"] == math.inf
+        assert rec["varpi1"] == math.inf
+        assert rec["warnings"] == [warning]
+
+
 def test_bounds_writes_a_report_per_theorem(tmp_path, capsys):
     rc = cli.main(["bounds", *FAST, "--out", str(tmp_path)])
     assert rc == 0
@@ -283,8 +301,11 @@ def extreme_commands(draw):
     command = draw(st.sampled_from(["run", "bounds"]))
     chosen = draw(st.lists(st.sampled_from(sorted(EXTREME_SETTINGS)), min_size=1, unique=True))
     sets = [f"{key}={draw(EXTREME_SETTINGS[key])!r}" for key in chosen]
-    max_horizon = 50 if command == "run" else 10**18
-    sets.append(f"horizon={draw(st.integers(min_value=1, max_value=max_horizon))}")
+    if command == "run":
+        horizons = st.integers(min_value=1, max_value=50)
+    else:  # up to horizons past the largest float, about 1.8e308
+        horizons = st.one_of(st.integers(1, 10**18), st.integers(10**300, 10**310))
+    sets.append(f"horizon={draw(horizons)}")
     sets.append(f'optimizer.preset="{draw(st.sampled_from(["adagrad", "adam"]))}"')
     return command, ["--set", "dim=3", "--set", "smoothing.window=4"] + [
         arg for item in sets for arg in ("--set", item)

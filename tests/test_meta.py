@@ -123,7 +123,9 @@ def test_run_round_matches_manual_composition():
 
 # run_stream's array loop against the run_round loop: the default shape, a
 # one-slot window, a ring that wraps many times, exact gradients, the
-# piecewise stream with sub-Gaussian noise under the momentum preset, d = 1
+# piecewise stream with sub-Gaussian noise under the momentum preset, d = 1,
+# exact gradients at alpha = 1 with a ring that wraps, and a window wider
+# than the horizon
 ENGINE_CASES = {
     "gaussian-w4": (_stream(), make_config_adagrad(eta=0.2, alpha=0.9, window=4), 25),
     "w1": (_stream(), make_config_adagrad(eta=0.2, alpha=0.9, window=1), 12),
@@ -138,6 +140,10 @@ ENGINE_CASES = {
         30,
     ),
     "d1": (_stream(dim=1), make_config_adagrad(eta=0.2, alpha=0.9, window=4), 25),
+    "exact-alpha1-wide": (
+        _stream(dim=5, sigma=0), make_config_adagrad(eta=0.2, alpha=1.0, window=8), 40
+    ),
+    "window-beyond-horizon": (_stream(), make_config_adagrad(eta=0.2, alpha=1.0, window=64), 25),
 }
 
 

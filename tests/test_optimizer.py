@@ -27,6 +27,7 @@ from dynreg import (
     step_size_at,
     weight_sum_W,
 )
+from dynreg.optimizer import _weighted_row_sum
 from dynreg.regret import _sq_weight_sum
 
 
@@ -178,6 +179,17 @@ def test_smoothed_gradient_hand_value():
     out = smoothed_stochastic_gradient(win, NoiseModel(EXACT), spawn_rng_stream(0, 1))
     # newest weighted 1, previous weighted 0.5, divided by W = 1.5
     assert out.tolist() == [2.5 / 1.5]
+
+
+@pytest.mark.parametrize("occ, dim", [(1, 3), (7, 5), (500, 40)])
+def test_alpha_one_row_sum_equals_the_weighted_sum_bit_for_bit(occ, dim):
+    # the weights are exactly 1.0, so the plain sum keeps every bit, also over
+    # the newest-first reversed view that exact_smoothed_gradient passes
+    G = spawn_rng_stream(0, 3).standard_normal((occ, dim)) * np.logspace(-8, 8, occ)[:, None]
+    weights = alpha_weights(1.0, occ + 2)
+    for rows in (G, G[::-1]):
+        expected = (weights[:occ, None] * rows).sum(axis=0)
+        assert _weighted_row_sum(1.0, weights, rows).tobytes() == expected.tobytes()
 
 
 def test_smoothed_gradient_short_history_damped():

@@ -114,14 +114,15 @@ def test_dlr_per_round_is_the_norm_of_the_exact_smoothed_gradient(gaussian_trace
         assert ledger.per_round[t - 1] == pytest.approx(float(g @ g), rel=1e-12)
 
 
-def test_slr_matches_a_handle_oracle(gaussian_trace):
+# one-slot window, the trace's own window, and a window wider than its 40 rounds
+@pytest.mark.parametrize("w", [1, 4, 64])
+def test_slr_matches_a_handle_oracle(gaussian_trace, w):
     trace = gaussian_trace
-    w = 4
     ledger = slr_cumulative(trace, w)
     assert ledger.kind == "static"
     assert ledger.weight_sum == float(w)
     assert ledger.alpha is None
-    for t in (1, 2, 3, 17, 40):
+    for t in range(1, trace.horizon + 1):
         occ = min(t, w)
         x = trace.iterates[t - 1]
         acc = np.zeros(trace.dim)
@@ -195,6 +196,17 @@ def test_variance_proxy_high_probability_parts():
     assert vp.mubar == pytest.approx(kappa**2 * (4 * ssum / W**2 + log_inv), rel=1e-12)
     pinned = variance_proxy(NoiseModel(GAUSSIAN, sigma=0.5, kappa=3.0), 2, 1.0, delta=0.1)
     assert pinned.kappa == 3.0
+
+
+def test_variance_proxy_that_overflows_reports_inf():
+    # sigma^2 and kappa^2 raise OverflowError in float pow
+    vp = variance_proxy(NoiseModel(SUBGAUSSIAN, sigma=1e200), 4, 0.9, delta=0.2, dim=5)
+    assert vp.mu == math.inf
+    assert vp.zeta == math.inf
+    assert vp.zeta_highprob == math.inf
+    assert vp.mubar == math.inf
+    assert vp.kappa == pytest.approx(sub_gaussian_scale(1e200, 5), rel=1e-15)
+    assert variance_proxy(NoiseModel(GAUSSIAN, sigma=1e200), 4, 1.0).mu == math.inf
 
 
 def test_variance_proxy_exact_noise_and_delta_range():
