@@ -163,28 +163,49 @@ def _named_positive_sequences(eps: float, n: int) -> dict:
     }
 
 
+def _sequence_fsums(terms: np.ndarray) -> list:
+    """fsum over each sequence, the columns of a (steps, sequences) array.
+
+    fsum rounds exactly, so each value equals fsum over that sequence's
+    terms taken one at a time.
+    """
+    return [fsum(col.tolist()) for col in terms.T]
+
+
 def check_sum_ratio(
     rhs_scale: float = 1.0, n_random: int = 300, n_len: int = 160, seed: int = 0
 ) -> LemmaCheckResult:
     """sum_j a_j/(eps+b_j) <= ln(1+b_N/eps) - N ln(beta2) for positive a_j,
-    where b_n = sum_{j<=n} beta2^(n-j) a_j."""
+    where b_n = sum_{j<=n} beta2^(n-j) a_j.
+
+    The recurrence runs over all sequences at once, one step j at a time,
+    with the elementwise IEEE operations of the scalar recurrence, so each
+    lhs and rhs keeps its bits; the checks follow the order eps, sequence,
+    beta2.
+    """
     col = _Collector("sum-ratio", rhs_scale)
     rng = spawn_rng_stream(seed, 101)
-    random_seqs = [
-        ("random", i, 0.1 + 1.9 * rng.uniform(size=n_len)) for i in range(n_random)
-    ]
+    labels = [("random", i) for i in range(n_random)]
+    # column k holds sequence k: the named sequences first, then the random ones
+    seqs = np.empty((n_len, 5 + n_random))
+    for i in range(n_random):
+        seqs[:, 5 + i] = 0.1 + 1.9 * rng.uniform(size=n_len)
+    terms = np.empty_like(seqs)
     for eps in _EPS_GRID:
-        named = [(name, -1, seq) for name, seq in _named_positive_sequences(eps, n_len).items()]
-        for name, idx, seq in named + random_seqs:
-            for beta2 in _BETA2_GRID:
-                b = 0.0
-                lhs_terms = []
-                for a_j in seq:
-                    b = beta2 * b + a_j
-                    lhs_terms.append(a_j / (eps + b))
-                lhs = fsum(lhs_terms)
-                rhs = math.log1p(b / eps) - len(seq) * math.log(beta2)
-                col.check(lhs, rhs, sequence=name, index=idx, beta2=beta2, eps=eps, n=len(seq))
+        named = _named_positive_sequences(eps, n_len)
+        for k, seq in enumerate(named.values()):
+            seqs[:, k] = seq
+        points = []
+        for beta2 in _BETA2_GRID:
+            b = np.zeros(seqs.shape[1])
+            for j, a_j in enumerate(seqs):
+                b = beta2 * b + a_j
+                terms[j] = a_j / (eps + b)
+            rhs = [math.log1p(b_k / eps) - n_len * math.log(beta2) for b_k in b.tolist()]
+            points.append((beta2, _sequence_fsums(terms), rhs))
+        for k, (name, idx) in enumerate([(name, -1) for name in named] + labels):
+            for beta2, lhs, rhs in points:
+                col.check(lhs[k], rhs[k], sequence=name, index=idx, beta2=beta2, eps=eps, n=n_len)
     return col.done()
 
 
@@ -192,32 +213,43 @@ def check_sum_ratio_momentum(
     rhs_scale: float = 1.0, n_random: int = 300, n_len: int = 160, seed: int = 0
 ) -> LemmaCheckResult:
     """Momentum form: with b_n = sum beta2^(n-j) a_j^2 and c_n = sum beta1^(n-j) a_j,
-    sum_j c_j^2/(eps+b_j) <= (ln(1+b_n/eps) - n ln(beta2)) / ((1-beta1)(1-beta1/beta2))."""
+    sum_j c_j^2/(eps+b_j) <= (ln(1+b_n/eps) - n ln(beta2)) / ((1-beta1)(1-beta1/beta2)).
+
+    Vectorised over the sequences like check_sum_ratio; the checks follow
+    the order sequence, (beta1, beta2), eps.
+    """
     col = _Collector("sum-ratio-momentum", rhs_scale)
     rng = spawn_rng_stream(seed, 102)
     n = n_len
-    seqs = [("normals", i, rng.standard_normal(n)) for i in range(n_random)]
-    seqs += [
-        ("alternating", -1, np.where(np.arange(n) % 2 == 0, 1.0, -1.0)),
-        ("ones", -1, np.ones(n)),
-        ("ramp-signed", -1, np.linspace(-2.0, 2.0, n)),
-    ]
-    for name, idx, seq in seqs:
-        for beta1, beta2 in _MOMENTUM_GRID:
-            factor = 1.0 / ((1.0 - beta1) * (1.0 - beta1 / beta2))
-            for eps in _EPS_GRID:
-                b = 0.0
-                c = 0.0
-                lhs_terms = []
-                for a_j in seq:
-                    b = beta2 * b + a_j * a_j
-                    c = beta1 * c + a_j
-                    lhs_terms.append(c * c / (eps + b))
-                lhs = fsum(lhs_terms)
-                rhs = factor * (math.log1p(b / eps) - n * math.log(beta2))
-                col.check(
-                    lhs, rhs, sequence=name, index=idx, beta1=beta1, beta2=beta2, eps=eps, n=n
-                )
+    labels = [("normals", i) for i in range(n_random)]
+    labels += [("alternating", -1), ("ones", -1), ("ramp-signed", -1)]
+    # column k holds sequence k, in the order of labels
+    seqs = np.empty((n, n_random + 3))
+    for i in range(n_random):
+        seqs[:, i] = rng.standard_normal(n)
+    seqs[:, n_random] = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
+    seqs[:, n_random + 1] = 1.0
+    seqs[:, n_random + 2] = np.linspace(-2.0, 2.0, n)
+    terms = np.empty_like(seqs)
+    points = []
+    for beta1, beta2 in _MOMENTUM_GRID:
+        factor = 1.0 / ((1.0 - beta1) * (1.0 - beta1 / beta2))
+        for eps in _EPS_GRID:
+            b = np.zeros(seqs.shape[1])
+            c = np.zeros(seqs.shape[1])
+            for j, a_j in enumerate(seqs):
+                b = beta2 * b + a_j * a_j
+                c = beta1 * c + a_j
+                terms[j] = c * c / (eps + b)
+            rhs = [
+                factor * (math.log1p(b_k / eps) - n * math.log(beta2)) for b_k in b.tolist()
+            ]
+            points.append((beta1, beta2, eps, _sequence_fsums(terms), rhs))
+    for k, (name, idx) in enumerate(labels):
+        for beta1, beta2, eps, lhs, rhs in points:
+            col.check(
+                lhs[k], rhs[k], sequence=name, index=idx, beta1=beta1, beta2=beta2, eps=eps, n=n
+            )
     return col.done()
 
 
@@ -292,19 +324,27 @@ def check_objective_drift(
     losses = trace.losses
     fwd_bound, back_bound = _drift_bounds(D, w, alpha)
 
-    def window_sum(t: int, newest: float) -> float:
+    def older_terms(t: int) -> list:
+        """alpha^r ell_{t-r}(x_{t-r}) for 1 <= r < min(t, w), the part of
+        S_t that does not depend on the point of its newest loss."""
         occ = min(t, w)
-        terms = [weights[0] * newest]
-        terms += [weights[r] * losses[t - 1 - r] for r in range(1, occ)]
-        return fsum(terms) / W
+        return (weights[1:occ] * losses[t - 2 :: -1][: occ - 1]).tolist()
 
+    def window_sum(older: list, newest: float) -> float:
+        # fsum rounds exactly, so the order of its terms does not matter
+        return fsum([weights[0] * newest, *older]) / W
+
+    older = older_terms(1)
+    s_t_here = window_sum(older, losses[0])
     for t in range(1, trace.horizon):
         x_next = trace.iterates[t]
-        s_t_here = window_sum(t, losses[t - 1])
-        s_t_next = window_sum(t, RoundLoss(stream.task(t), trace.theta).loss(x_next))
-        s_next = window_sum(t + 1, losses[t])
+        older_next = older_terms(t + 1)
+        s_t_next = window_sum(older, RoundLoss(stream.task(t), trace.theta).loss(x_next))
+        s_next = window_sum(older_next, losses[t])
         col.check(s_next - s_t_next, fwd_bound, t=t, seed=trace.seed, side="forward")
         col.check(s_t_here - s_next, back_bound, t=t, seed=trace.seed, side="backward")
+        # S_{t+1}(x_{t+1}) is the next round's S_t(x_t)
+        older, s_t_here = older_next, s_next
     return col.done()
 
 

@@ -1,8 +1,10 @@
 """The numerical lemma harness: clean grids pass, corruption is caught."""
 
+import math
 import sys
 from math import fsum
 
+import numpy as np
 import pytest
 
 from dynreg import (
@@ -12,15 +14,26 @@ from dynreg import (
     NoiseModel,
     QUICK_IDS,
     ConfigError,
+    RoundLoss,
+    alpha_weights,
     make_config_adagrad,
     make_drifting_sine_stream,
     run_checks,
     run_stream,
+    spawn_rng_stream,
+    weight_sum_W,
 )
 from dynreg.lemmas import (
+    _BETA2_GRID,
+    _EPS_GRID,
+    _MOMENTUM_GRID,
+    _Collector,
     _drift_bounds,
+    _named_positive_sequences,
     check_objective_drift,
     check_quadratic,
+    check_sum_ratio,
+    check_sum_ratio_momentum,
     mc_smoothed_gradient_lemmas,
 )
 
@@ -57,15 +70,16 @@ def test_result_records_are_json_shaped(quick_results):
     assert rec["violation_count"] == 0
 
 
-def test_corrupted_rhs_is_detected():
-    results = run_checks("quick", corrupt="geom-sqrt-sum")
+@pytest.mark.parametrize("corrupt", QUICK_IDS)
+def test_corrupted_rhs_is_detected(corrupt):
+    results = run_checks("quick", corrupt=corrupt)
     by_id = {r.lemma_id: r for r in results}
-    assert not by_id["geom-sqrt-sum"].passed
-    assert by_id["geom-sqrt-sum"].violations
-    assert by_id["geom-sqrt-sum"].max_slack < 0
+    assert not by_id[corrupt].passed
+    assert by_id[corrupt].violations
+    assert by_id[corrupt].max_slack < 0
     for lemma_id in QUICK_IDS:
-        if lemma_id != "geom-sqrt-sum":
-            assert by_id[lemma_id].passed
+        if lemma_id != corrupt:
+            assert by_id[lemma_id].passed, lemma_id
 
 
 def test_violation_records_carry_the_failing_point():
@@ -138,3 +152,126 @@ def test_mc_smoothed_gradient_checks_pass_at_reduced_size():
     res = mc_smoothed_gradient_lemmas(4, 4, 0.9, 0.5, 20_000, seed=1)
     assert res.passed
     assert res.grid_size >= 3
+
+
+# The scalar loops the vectorised sweeps replaced, kept as their reference:
+# one float at a time, in the original nesting order.
+
+
+def _scalar_sum_ratio(rhs_scale, n_random, n_len, seed):
+    col = _Collector("sum-ratio", rhs_scale)
+    rng = spawn_rng_stream(seed, 101)
+    random_seqs = [
+        ("random", i, 0.1 + 1.9 * rng.uniform(size=n_len)) for i in range(n_random)
+    ]
+    for eps in _EPS_GRID:
+        named = [(name, -1, seq) for name, seq in _named_positive_sequences(eps, n_len).items()]
+        for name, idx, seq in named + random_seqs:
+            for beta2 in _BETA2_GRID:
+                b = 0.0
+                lhs_terms = []
+                for a_j in seq:
+                    b = beta2 * b + a_j
+                    lhs_terms.append(a_j / (eps + b))
+                lhs = fsum(lhs_terms)
+                rhs = math.log1p(b / eps) - len(seq) * math.log(beta2)
+                col.check(lhs, rhs, sequence=name, index=idx, beta2=beta2, eps=eps, n=len(seq))
+    return col.done()
+
+
+def _scalar_sum_ratio_momentum(rhs_scale, n_random, n_len, seed):
+    col = _Collector("sum-ratio-momentum", rhs_scale)
+    rng = spawn_rng_stream(seed, 102)
+    n = n_len
+    seqs = [("normals", i, rng.standard_normal(n)) for i in range(n_random)]
+    seqs += [
+        ("alternating", -1, np.where(np.arange(n) % 2 == 0, 1.0, -1.0)),
+        ("ones", -1, np.ones(n)),
+        ("ramp-signed", -1, np.linspace(-2.0, 2.0, n)),
+    ]
+    for name, idx, seq in seqs:
+        for beta1, beta2 in _MOMENTUM_GRID:
+            factor = 1.0 / ((1.0 - beta1) * (1.0 - beta1 / beta2))
+            for eps in _EPS_GRID:
+                b = 0.0
+                c = 0.0
+                lhs_terms = []
+                for a_j in seq:
+                    b = beta2 * b + a_j * a_j
+                    c = beta1 * c + a_j
+                    lhs_terms.append(c * c / (eps + b))
+                lhs = fsum(lhs_terms)
+                rhs = factor * (math.log1p(b / eps) - n * math.log(beta2))
+                col.check(
+                    lhs, rhs, sequence=name, index=idx, beta1=beta1, beta2=beta2, eps=eps, n=n
+                )
+    return col.done()
+
+
+def _scalar_objective_drift(trace, w, alpha, rhs_scale):
+    stream = trace.stream
+    D = stream.constants().D
+    col = _Collector("objective-drift", rhs_scale)
+    W = weight_sum_W(alpha, w)
+    weights = alpha_weights(alpha, w)
+    losses = trace.losses
+    fwd_bound, back_bound = _drift_bounds(D, w, alpha)
+
+    def window_sum(t, newest):
+        occ = min(t, w)
+        terms = [weights[0] * newest]
+        terms += [weights[r] * losses[t - 1 - r] for r in range(1, occ)]
+        return fsum(terms) / W
+
+    for t in range(1, trace.horizon):
+        x_next = trace.iterates[t]
+        s_t_here = window_sum(t, losses[t - 1])
+        s_t_next = window_sum(t, RoundLoss(stream.task(t), trace.theta).loss(x_next))
+        s_next = window_sum(t + 1, losses[t])
+        col.check(s_next - s_t_next, fwd_bound, t=t, seed=trace.seed, side="forward")
+        col.check(s_t_here - s_next, back_bound, t=t, seed=trace.seed, side="backward")
+    return col.done()
+
+
+def _assert_same_sweep(got, want):
+    assert got.lemma_id == want.lemma_id
+    assert got.grid_size == want.grid_size
+    assert got.max_slack.hex() == want.max_slack.hex()
+    assert got.to_record()["violations"] == want.to_record()["violations"]
+    assert len(got.violations) == len(want.violations)
+
+
+@pytest.fixture(scope="module")
+def drift_traces():
+    traces = []
+    for w, alpha, seed in ((3, 0.9, 3), (4, 1.0, 3)):
+        stream = make_drifting_sine_stream(
+            dim=3, drift_rate=0.1, noise=NoiseModel(GAUSSIAN, sigma=0.5), seed=seed
+        )
+        opt = make_config_adagrad(eta=0.2, alpha=alpha, window=w)
+        trace = run_stream(stream, 60, InnerAdaptConfig(theta=0.05), opt, seed=seed)
+        traces.append((trace, w, alpha))
+    return traces
+
+
+@pytest.mark.parametrize("rhs_scale", [1.0, 0.1])
+def test_vectorised_sweeps_equal_the_scalar_loops_bit_for_bit(rhs_scale, drift_traces):
+    size = {"n_random": 7, "n_len": 40, "seed": 5}
+    pairs = [
+        (check_sum_ratio(rhs_scale, **size), _scalar_sum_ratio(rhs_scale, **size)),
+        (
+            check_sum_ratio_momentum(rhs_scale, **size),
+            _scalar_sum_ratio_momentum(rhs_scale, **size),
+        ),
+    ]
+    for trace, w, alpha in drift_traces:
+        pairs.append(
+            (
+                check_objective_drift(trace, w, alpha, rhs_scale=rhs_scale),
+                _scalar_objective_drift(trace, w, alpha, rhs_scale),
+            )
+        )
+    for got, want in pairs:
+        _assert_same_sweep(got, want)
+        # the corrupted scale must compare non-empty violation lists
+        assert got.passed == (rhs_scale == 1.0)
