@@ -17,7 +17,6 @@ eta_{t+1} = eta (1-beta1) sqrt((1-beta2^{t+1})/(1-beta2)).
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 from typing import Optional
 
@@ -178,6 +177,12 @@ class SmoothingWindow:
     given); the gradient of a fixed loss at a fixed point is deterministic,
     and stochasticity is injected per query, not per slot. Neither the
     handle nor the iterate is kept.
+
+    The gradients live in a (2w, dim) array allocated at the first push,
+    the same ring the array run loop keeps: the newest row goes to a
+    falling head index, and once per w pushes the newest w - 1 rows are
+    copied up, so the window is always the contiguous block
+    ring[head:head + occupied].
     """
 
     def __init__(self, alpha: float, window: int):
@@ -185,11 +190,13 @@ class SmoothingWindow:
         self.alpha = float(alpha)
         self.window = int(window)
         self.weight_sum = weight_sum_W(alpha, window)
-        self._grads: deque[np.ndarray] = deque(maxlen=self.window)
+        self._ring: Optional[np.ndarray] = None
+        self._head = 2 * self.window
+        self._occupied = 0
 
     @property
     def occupied(self) -> int:
-        return len(self._grads)
+        return self._occupied
 
     def push(self, iterate, handle, grad: Optional[np.ndarray] = None) -> None:
         """Insert the round loss's gradient at the newest iterate (handle.grad
@@ -200,11 +207,29 @@ class SmoothingWindow:
             raise DimensionError(
                 f"gradient shape {g.shape} does not match iterate shape {x.shape}"
             )
-        self._grads.appendleft(np.asarray(g, dtype=np.float64))
+        w = self.window
+        if self._ring is None:
+            self._ring = np.empty((2 * w, g.size))
+        elif g.size != self._ring.shape[1]:
+            raise DimensionError(
+                f"gradient has length {g.size}, the window holds length {self._ring.shape[1]}"
+            )
+        if self._head == 0:
+            self._ring[w + 1 :] = self._ring[: w - 1]
+            self._head = w + 1
+        self._head -= 1
+        self._ring[self._head] = g
+        self._occupied = min(self._occupied + 1, w)
 
     def gradient_matrix(self) -> np.ndarray:
-        """Stacked per-slot exact gradients, newest first, shape (occupied, dim)."""
-        return np.stack(self._grads)
+        """Per-slot exact gradients, newest first, shape (occupied, dim).
+
+        This is a view into the ring, not a copy: a later push overwrites
+        it, so copy it to keep it.
+        """
+        if self._occupied == 0:
+            raise DimensionError("window is empty; push at least one round first")
+        return self._ring[self._head : self._head + self._occupied]
 
 
 def smoothed_stochastic_gradient(
@@ -216,12 +241,9 @@ def smoothed_stochastic_gradient(
     draw (one batched draw per call, newest slot first); the weighted sum is
     divided by the full-window W even when history is short.
     """
-    occ = window.occupied
-    if occ == 0:
-        raise DimensionError("window is empty; push at least one round first")
     G = window.gradient_matrix()
     if not noise.is_exact:
-        G = G + noise.draw(rng, G.shape[1], reps=occ)
+        G = G + noise.draw(rng, G.shape[1], reps=G.shape[0])
     return _weighted_row_sum(window.alpha, window.weights, G) / window.weight_sum
 
 

@@ -164,6 +164,21 @@ def test_window_keeps_newest_first_and_evicts():
     assert win.weight_sum == 1.5
 
 
+@pytest.mark.parametrize("w", [1, 2, 5])
+def test_window_ring_holds_the_last_w_pushes_newest_first(w):
+    rows = spawn_rng_stream(0, 11).standard_normal((3 * w + 2, 3))
+    win = SmoothingWindow(0.9, w)
+    with pytest.raises(DimensionError):
+        win.gradient_matrix()
+    for k, row in enumerate(rows, start=1):
+        win.push(np.zeros(3), _FixedGrad(row))
+        G = win.gradient_matrix()
+        assert G.flags.c_contiguous
+        assert np.array_equal(G, rows[max(0, k - w) : k][::-1])
+    with pytest.raises(DimensionError):
+        win.push(np.zeros(2), _FixedGrad([1.0, 2.0]))
+
+
 def test_window_push_accepts_precomputed_gradient():
     win = SmoothingWindow(1.0, 3)
     win.push(np.array([0.0]), _FixedGrad([1.0]), grad=np.array([9.0]))
