@@ -16,6 +16,7 @@ import math
 import time
 from dataclasses import dataclass, field
 from math import fsum
+from typing import Optional
 
 import numpy as np
 
@@ -66,6 +67,7 @@ class LemmaCheckResult:
 
     max_slack is the smallest rhs - lhs over the whole grid: how close the
     sharpest case came to the boundary (negative only when violations exist).
+    tightest holds the parameters of the first check that reached it.
     """
 
     lemma_id: str
@@ -73,6 +75,7 @@ class LemmaCheckResult:
     violations: list = field(default_factory=list)
     max_slack: float = math.inf
     elapsed_s: float = 0.0
+    tightest: Optional[dict] = None
 
     @property
     def passed(self) -> bool:
@@ -84,6 +87,7 @@ class LemmaCheckResult:
             "grid_size": self.grid_size,
             "passed": self.passed,
             "max_slack": self.max_slack,
+            "tightest": self.tightest,
             "elapsed_s": self.elapsed_s,
             "violations": [v.to_record() for v in self.violations[:50]],
             "violation_count": len(self.violations),
@@ -102,6 +106,7 @@ class _Collector:
         slack = rhs - lhs
         if slack < self.result.max_slack:
             self.result.max_slack = slack
+            self.result.tightest = params
         if slack < -_TOL * max(1.0, abs(rhs)):
             self.result.violations.append(Violation(params=params, lhs=lhs, rhs=rhs))
 
@@ -348,10 +353,24 @@ def check_objective_drift(
     return col.done()
 
 
+def _merge(lemma_id: str, parts, t0: float) -> LemmaCheckResult:
+    """One result over several sweeps, the first part with the least slack
+    giving max_slack and tightest."""
+    merged = LemmaCheckResult(lemma_id=lemma_id, grid_size=0)
+    for part in parts:
+        merged.grid_size += part.grid_size
+        merged.violations.extend(part.violations)
+        if part.max_slack < merged.max_slack:
+            merged.max_slack = part.max_slack
+            merged.tightest = part.tightest
+    merged.elapsed_s = time.perf_counter() - t0
+    return merged
+
+
 def _drift_suite(seed: int, rhs_scale: float) -> LemmaCheckResult:
     """Drift check across window/discount configs and seeded drifting runs."""
-    merged = LemmaCheckResult(lemma_id="objective-drift", grid_size=0)
     t0 = time.perf_counter()
+    parts = []
     configs = [
         (1, 0.5, 4, 300),
         (4, 0.9, 4, 300),
@@ -371,11 +390,10 @@ def _drift_suite(seed: int, rhs_scale: float) -> LemmaCheckResult:
             opt = make_config_adagrad(eta=0.2, alpha=alpha, window=w)
             trace = run_stream(stream, horizon, inner, opt, seed=seed + s)
             part = check_objective_drift(trace, w, alpha, rhs_scale=rhs_scale)
-            merged.grid_size += part.grid_size
-            merged.violations.extend(part.violations)
-            merged.max_slack = min(merged.max_slack, part.max_slack)
-    merged.elapsed_s = time.perf_counter() - t0
-    return merged
+            # a drift check's own params do not say which config it ran
+            part.tightest = {"window": w, "alpha": alpha, **part.tightest}
+            parts.append(part)
+    return _merge("objective-drift", parts, t0)
 
 
 def mc_smoothed_gradient_lemmas(
@@ -460,7 +478,6 @@ def mc_smoothed_gradient_lemmas(
 
 
 def _mc_suite(seed: int, rhs_scale: float) -> LemmaCheckResult:
-    merged = LemmaCheckResult(lemma_id="smoothed-gradient-mc", grid_size=0)
     t0 = time.perf_counter()
     parts = [
         mc_smoothed_gradient_lemmas(5, 4, 1.0, 0.5, 100_000, seed=seed, rhs_scale=rhs_scale),
@@ -470,12 +487,7 @@ def _mc_suite(seed: int, rhs_scale: float) -> LemmaCheckResult:
             5, 4, 0.9, 0.5, 10_000, seed=seed, delta=0.2, n_runs=500, rhs_scale=rhs_scale
         ),
     ]
-    for part in parts:
-        merged.grid_size += part.grid_size
-        merged.violations.extend(part.violations)
-        merged.max_slack = min(merged.max_slack, part.max_slack)
-    merged.elapsed_s = time.perf_counter() - t0
-    return merged
+    return _merge("smoothed-gradient-mc", parts, t0)
 
 
 QUICK_IDS = (

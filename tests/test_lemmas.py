@@ -1,5 +1,6 @@
 """The numerical lemma harness: clean grids pass, corruption is caught."""
 
+import json
 import math
 import sys
 from math import fsum
@@ -24,11 +25,13 @@ from dynreg import (
     weight_sum_W,
 )
 from dynreg.lemmas import (
+    LemmaCheckResult,
     _BETA2_GRID,
     _EPS_GRID,
     _MOMENTUM_GRID,
     _Collector,
     _drift_bounds,
+    _merge,
     _named_positive_sequences,
     check_objective_drift,
     check_quadratic,
@@ -62,12 +65,24 @@ def test_result_records_are_json_shaped(quick_results):
         "grid_size",
         "passed",
         "max_slack",
+        "tightest",
         "elapsed_s",
         "violations",
         "violation_count",
     }
     assert rec["passed"] is True
     assert rec["violation_count"] == 0
+    assert set(rec["tightest"]) == {"a", "Q"}
+    json.dumps(rec)
+
+
+def test_tightest_names_the_point_of_the_least_slack(quick_results):
+    res = quick_results[0]
+    a, Q = res.tightest["a"], res.tightest["Q"]
+    lhs = fsum(a**q * math.sqrt(q + 1.0) for q in range(Q))
+    assert 2.0 / (1.0 - a) ** 1.5 - lhs == res.max_slack
+    for rec in (r.to_record() for r in quick_results):
+        assert isinstance(rec["tightest"], dict), rec["lemma_id"]
 
 
 @pytest.mark.parametrize("corrupt", QUICK_IDS)
@@ -91,6 +106,18 @@ def test_violation_records_carry_the_failing_point():
     first = rec["violations"][0]
     assert first["lhs"] > first["rhs"]
     assert isinstance(first["params"], dict)
+
+
+def test_merged_suites_keep_the_first_point_of_least_slack():
+    parts = [
+        LemmaCheckResult("x", 2, max_slack=0.5, tightest={"part": 0}),
+        LemmaCheckResult("x", 3, max_slack=0.25, tightest={"part": 1}),
+        LemmaCheckResult("x", 4, max_slack=0.25, tightest={"part": 2}),
+    ]
+    merged = _merge("x", parts, t0=0.0)
+    assert merged.grid_size == 9
+    assert merged.max_slack == 0.25
+    assert merged.tightest == {"part": 1}
 
 
 def test_run_checks_validates_arguments():
@@ -237,6 +264,7 @@ def _assert_same_sweep(got, want):
     assert got.lemma_id == want.lemma_id
     assert got.grid_size == want.grid_size
     assert got.max_slack.hex() == want.max_slack.hex()
+    assert got.tightest == want.tightest
     assert got.to_record()["violations"] == want.to_record()["violations"]
     assert len(got.violations) == len(want.violations)
 
