@@ -32,12 +32,10 @@ from .optimizer import (
     OptimizerState,
     SmoothingWindow,
     _weighted_row_sum,
-    alpha_weights,
     dts_ag_step,
     make_state,
     smoothed_stochastic_gradient,
     step_size_at,
-    weight_sum_W,
 )
 from .tasks import TaskRound, sine_argument
 
@@ -324,12 +322,9 @@ def _play_sine_stream(stream, T, inner, opt, seed, x0) -> dict:
     RoundLoss.value_and_grad, SmoothingWindow.push,
     smoothed_stochastic_gradient and dts_ag_step in their order, so the
     trace equals the round-by-round path bit for bit, and raises the same
-    errors at the same round. The window lives in a (2w, d) ring: the
-    newest gradient goes to a falling head index, and once per w rounds
-    the newest w - 1 rows are copied up, so the window is always the
-    contiguous newest-first block ring[head:head + occ]. One Philox is
-    re-keyed per round; a round's adaptation draw and window draw come
-    from one call, which yields the same sequence as two.
+    errors at the same round. One Philox is re-keyed per round; a round's
+    adaptation draw and window draw come from one call, which yields the
+    same sequence as two.
     """
     d = stream.dim
     w = opt.window
@@ -340,8 +335,7 @@ def _play_sine_stream(stream, T, inner, opt, seed, x0) -> dict:
     coord_std = noise.coord_std(d) if noisy else 0.0
     sqrt_tb = math.sqrt(inner.train_batch)
     theta = float(inner.theta)
-    weights = alpha_weights(opt.alpha, w)
-    W = weight_sum_W(opt.alpha, w)
+    window = SmoothingWindow(opt.alpha, w)
     beta1, beta2, eps = opt.beta1, opt.beta2, opt.epsilon
     rng = spawn_rng_stream(seed, 1)
 
@@ -349,8 +343,6 @@ def _play_sine_stream(stream, T, inner, opt, seed, x0) -> dict:
     losses = np.empty(T)
     etas = [step_size_at(opt, t) for t in range(1, T + 1)]
 
-    ring = np.empty((2 * w, d))
-    head = 2 * w
     x = np.array(x0, dtype=np.float64)
     m = np.zeros(d)
     v = np.zeros(d)
@@ -381,17 +373,13 @@ def _play_sine_stream(stream, T, inner, opt, seed, x0) -> dict:
         g = g_out - theta * corr
         if not (math.isfinite(val) and np.isfinite(g).all()):
             raise NumericError(f"round {t} produced a non-finite loss or gradient")
-        # SmoothingWindow.push
-        if head == 0:
-            ring[w + 1 :] = ring[: w - 1]
-            head = w + 1
-        head -= 1
-        ring[head] = g
+        # SmoothingWindow.push, its checks already made
+        window._store(g)
         # smoothed_stochastic_gradient
-        rows = ring[head : head + occ]
+        rows = window.gradient_matrix()
         if noisy:
             rows = rows + z[1:]
-        gt = _weighted_row_sum(opt.alpha, weights, rows) / W
+        gt = _weighted_row_sum(window.alpha, window.weights, rows) / window.weight_sum
         if not np.isfinite(gt).all():
             raise NumericError(
                 f"smoothed gradient has a non-finite entry at coordinate {_first_non_finite(gt)}"

@@ -81,10 +81,7 @@ class OptimizerConfig:
                 "the increasing-step schedule requires 0 < beta1 < beta2 < 1, "
                 f"got beta1={self.beta1}, beta2={self.beta2}"
             )
-        if not isinstance(self.window, (int, np.integer)) or self.window < 1:
-            raise ConfigError(f"window must be an integer >= 1, got {self.window!r}")
-        if not (0.0 < self.alpha <= 1.0):
-            raise ConfigError(f"alpha must be in (0, 1], got {self.alpha}")
+        _check_window(self.window, self.alpha)
 
 
 def make_config_adagrad(
@@ -138,23 +135,24 @@ def make_state(dim: int) -> OptimizerState:
     return OptimizerState(m=np.zeros(dim), v=np.zeros(dim), t=1)
 
 
-def weight_sum_W(alpha: float, window: int) -> float:
-    """W = sum_{r=0}^{w-1} alpha^r, accurate as alpha -> 1 and exactly w at 1."""
-    if not (0.0 < alpha <= 1.0):
-        raise ConfigError(f"alpha must be in (0, 1], got {alpha}")
+def _check_window(window, alpha: Optional[float] = None) -> None:
+    """A window length must be an integer >= 1 and a discount, when given,
+    must be in (0, 1]."""
     if not isinstance(window, (int, np.integer)) or window < 1:
         raise ConfigError(f"window must be an integer >= 1, got {window!r}")
-    if alpha == 1.0:
-        return float(window)
+    if alpha is not None and not (0.0 < alpha <= 1.0):
+        raise ConfigError(f"alpha must be in (0, 1], got {alpha}")
+
+
+def weight_sum_W(alpha: float, window: int) -> float:
+    """W = sum_{r=0}^{w-1} alpha^r, accurate as alpha -> 1 and exactly w at 1."""
+    _check_window(window, alpha)
     return geometric_sum(math.log(alpha), int(window))
 
 
 def alpha_weights(alpha: float, window: int) -> np.ndarray:
     """The weight vector (alpha^0, ..., alpha^(w-1))."""
-    if not (0.0 < alpha <= 1.0):
-        raise ConfigError(f"alpha must be in (0, 1], got {alpha}")
-    if window < 1:
-        raise ConfigError(f"window must be >= 1, got {window}")
+    _check_window(window, alpha)
     return alpha ** np.arange(window, dtype=np.float64)
 
 
@@ -178,11 +176,11 @@ class SmoothingWindow:
     and stochasticity is injected per query, not per slot. Neither the
     handle nor the iterate is kept.
 
-    The gradients live in a (2w, dim) array allocated at the first push,
-    the same ring the array run loop keeps: the newest row goes to a
-    falling head index, and once per w pushes the newest w - 1 rows are
-    copied up, so the window is always the contiguous block
-    ring[head:head + occupied].
+    The gradients live in a (2w, dim) array allocated at the first push:
+    the newest row goes to a falling head index, and once per w pushes the
+    newest w - 1 rows are copied up, so the window is always the contiguous
+    block ring[head:head + occupied]. The array run loop fills the same
+    ring through _store, which skips push's checks.
     """
 
     def __init__(self, alpha: float, window: int):
@@ -207,19 +205,27 @@ class SmoothingWindow:
             raise DimensionError(
                 f"gradient shape {g.shape} does not match iterate shape {x.shape}"
             )
-        w = self.window
-        if self._ring is None:
-            self._ring = np.empty((2 * w, g.size))
-        elif g.size != self._ring.shape[1]:
+        if self._ring is not None and g.size != self._ring.shape[1]:
             raise DimensionError(
                 f"gradient has length {g.size}, the window holds length {self._ring.shape[1]}"
             )
-        if self._head == 0:
-            self._ring[w + 1 :] = self._ring[: w - 1]
-            self._head = w + 1
-        self._head -= 1
-        self._ring[self._head] = g
-        self._occupied = min(self._occupied + 1, w)
+        self._store(g)
+
+    def _store(self, g: np.ndarray) -> None:
+        """push's ring update, unchecked: g is a 1-D gradient of the window's length."""
+        w = self.window
+        ring = self._ring
+        if ring is None:
+            ring = self._ring = np.empty((2 * w, g.size))
+        head = self._head
+        if head == 0:
+            ring[w + 1 :] = ring[: w - 1]
+            head = w + 1
+        head -= 1
+        ring[head] = g
+        self._head = head
+        if self._occupied < w:
+            self._occupied += 1
 
     def gradient_matrix(self) -> np.ndarray:
         """Per-slot exact gradients, newest first, shape (occupied, dim).

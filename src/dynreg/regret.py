@@ -26,11 +26,12 @@ from typing import Optional
 import numpy as np
 
 from .meta import RunTrace
-from .numerics import ConfigError, DimensionError, NumericError, geometric_sum
+from .numerics import ConfigError, NumericError, geometric_sum
 from .optimizer import (
     ADAM_SCHEDULE,
     CONSTANT,
     OptimizerConfig,
+    _check_window,
     _weighted_row_sum,
     alpha_weights,
     weight_sum_W,
@@ -45,7 +46,6 @@ __all__ = [
     "EffectiveConstants",
     "VarianceProxy",
     "BoundReport",
-    "LogFit",
     "exact_smoothed_gradient",
     "dlr_cumulative",
     "slr_cumulative",
@@ -53,7 +53,6 @@ __all__ = [
     "variance_proxy",
     "bound_expectation",
     "bound_highprob",
-    "logarithmic_fit",
 ]
 
 ADAGRAD = "adagrad"
@@ -82,13 +81,6 @@ class RegretLedger:
         return float(self.cumulative[-1])
 
 
-def _check_window(w, alpha=None):
-    if not isinstance(w, (int, np.integer)) or w < 1:
-        raise ConfigError(f"window must be an integer >= 1, got {w!r}")
-    if alpha is not None and not (0.0 < alpha <= 1.0):
-        raise ConfigError(f"alpha must be in (0, 1], got {alpha}")
-
-
 def exact_smoothed_gradient(trace: RunTrace, t: int, w: int, alpha: float) -> np.ndarray:
     """The noiseless weighted window average of recorded gradients at round t."""
     _check_window(w, alpha)
@@ -104,7 +96,8 @@ def dlr_cumulative(trace: RunTrace, w: int, alpha: float) -> RegretLedger:
     """Dynamic local regret ledger of a trace."""
     _check_window(w, alpha)
     with np.errstate(over="ignore", invalid="ignore"):
-        per_round = _weighted_window_norms(trace.grads, int(w), float(alpha))
+        S = _window_sums(trace.grads, int(w), float(alpha))
+        per_round = np.einsum("td,td->t", S, S)
         return _ledger("dynamic", int(w), float(alpha), weight_sum_W(alpha, w), per_round)
 
 
@@ -140,20 +133,19 @@ def _ledger(kind, w, alpha, weight_sum, per_round) -> RegretLedger:
     )
 
 
-def _weighted_window_norms(G, w: int, alpha: float) -> np.ndarray:
-    """Per-round squared norms of the weighted window average of rows of G."""
+def _window_sums(G, w: int, alpha: float) -> np.ndarray:
+    """The weighted window average of rows of G at every round, shape (T, d):
+    row t-1 is (1/W) sum_{r<min(t,w)} alpha^r G[t-1-r]."""
     G = np.ascontiguousarray(G, dtype=np.float64)
     T, d = G.shape
     W = weight_sum_W(alpha, w)
     if w == 1:
-        S = G / W
-    else:
-        padded = np.vstack([np.zeros((w - 1, d)), G])
-        win = np.lib.stride_tricks.sliding_window_view(padded, w, axis=0)  # (T, d, w)
-        # position k carries weight alpha^(w-1-k)
-        rev = np.ascontiguousarray(alpha_weights(alpha, w)[::-1])
-        S = (win @ rev) / W
-    return np.einsum("td,td->t", S, S)
+        return G / W
+    padded = np.vstack([np.zeros((w - 1, d)), G])
+    win = np.lib.stride_tricks.sliding_window_view(padded, w, axis=0)  # (T, d, w)
+    # position k carries weight alpha^(w-1-k)
+    rev = np.ascontiguousarray(alpha_weights(alpha, w)[::-1])
+    return (win @ rev) / W
 
 
 def _static_window_norms_sine(A, B, X, w: int, theta: float, D: float) -> np.ndarray:
@@ -226,8 +218,6 @@ class VarianceProxy:
 
 def _sq_weight_sum(alpha: float, w: int) -> float:
     """sum_{r<w} alpha^(2r), accurate as alpha -> 1 and exactly w at 1."""
-    if alpha == 1.0:
-        return float(w)
     return geometric_sum(2.0 * math.log(alpha), w)
 
 
@@ -501,59 +491,3 @@ def _guarantee(kind, highprob, T, d, W, D, Lp, gp, eta, eps, b1, b2, delta, sigm
         derived["varpi3"] = varpi3
     derived["C"] = C
     return derived, rhs, warnings
-
-
-@dataclass(frozen=True, eq=False)
-class LogFit:
-    """Least-squares fit of cumulative regret against ln T."""
-
-    slope: float
-    intercept: float
-    residual_norm: float
-    horizons: np.ndarray
-    values: np.ndarray
-    ratios: np.ndarray
-    tail_variation: float
-    non_logarithmic: bool
-
-
-def logarithmic_fit(horizons, values) -> LogFit:
-    """Fit values ~ slope*ln(T) + intercept over >= 3 horizons.
-
-    The growth is flagged non-logarithmic when the ratios values/ln(T) are
-    strictly increasing and the last ratio exceeds its predecessor by more
-    than 10%.
-    """
-    h = np.asarray(horizons, dtype=np.float64)
-    vals = np.asarray(values, dtype=np.float64)
-    if h.ndim != 1 or vals.ndim != 1 or h.size != vals.size:
-        raise DimensionError("horizons and values must be 1-D with equal length")
-    if h.size < 3:
-        raise ConfigError(f"need at least 3 horizons, got {h.size}")
-    if np.any(h <= 1) or np.any(np.diff(h) <= 0):
-        raise ConfigError("horizons must be strictly increasing and > 1")
-    if not np.all(np.isfinite(vals)):
-        raise ConfigError("values must be finite")
-    lt = np.log(h)
-    design = np.column_stack([lt, np.ones_like(lt)])
-    coef, resid, _, _ = np.linalg.lstsq(design, vals, rcond=None)
-    residual_norm = (
-        math.sqrt(float(resid[0]))
-        if resid.size
-        else float(np.linalg.norm(design @ coef - vals))
-    )
-    ratios = vals / lt
-    prev = ratios[-2]
-    diff = abs(ratios[-1] - prev)
-    tail_variation = diff / abs(prev) if prev != 0.0 else (math.inf if diff > 0 else 0.0)
-    increasing = bool(np.all(np.diff(ratios) > 0))
-    return LogFit(
-        slope=float(coef[0]),
-        intercept=float(coef[1]),
-        residual_norm=residual_norm,
-        horizons=h,
-        values=vals,
-        ratios=ratios,
-        tail_variation=float(tail_variation),
-        non_logarithmic=bool(increasing and tail_variation > 0.10),
-    )

@@ -14,14 +14,17 @@ from dynreg import (
     InnerAdaptConfig,
     NoiseModel,
     QUICK_IDS,
+    SUBGAUSSIAN,
     ConfigError,
     RoundLoss,
     alpha_weights,
+    exact_smoothed_gradient,
     make_config_adagrad,
     make_drifting_sine_stream,
     run_checks,
     run_stream,
     spawn_rng_stream,
+    variance_proxy,
     weight_sum_W,
 )
 from dynreg.lemmas import (
@@ -179,6 +182,33 @@ def test_mc_smoothed_gradient_checks_pass_at_reduced_size():
     res = mc_smoothed_gradient_lemmas(4, 4, 0.9, 0.5, 20_000, seed=1)
     assert res.passed
     assert res.grid_size >= 3
+
+
+def test_mc_exceedance_equals_the_per_round_reference():
+    d, w, alpha, sigma, delta, n_runs, horizon = 5, 2, 0.9, 0.5, 0.9, 40, 16
+    # at rhs_scale 0 every check with a positive lhs is a violation that records it
+    res = mc_smoothed_gradient_lemmas(
+        d, w, alpha, sigma, 1000, delta=delta, n_runs=n_runs, rhs_scale=0.0
+    )
+    [got] = [v.lhs for v in res.violations if v.params["check"] == "deviation-exceedance"]
+
+    # criterion 11's loop: one exact smoothed gradient per round
+    noise = NoiseModel(SUBGAUSSIAN, sigma=sigma)
+    stream = make_drifting_sine_stream(dim=d, drift_rate=0.05, noise=noise, seed=0)
+    inner = InnerAdaptConfig(theta=0.05)
+    opt = make_config_adagrad(eta=0.1, alpha=alpha, window=w)
+    mubar = variance_proxy(noise, w, alpha, delta=delta, dim=d).mubar
+    exceed = 0
+    for seed in range(n_runs):
+        trace = run_stream(stream, horizon, inner, opt, seed=seed)
+        worst = 0.0
+        for t in range(1, horizon + 1):
+            dev = trace.smoothed_grads[t - 1] - exact_smoothed_gradient(trace, t, w, alpha)
+            worst = max(worst, float(dev @ dev))
+        if worst > mubar:
+            exceed += 1
+    assert 0 < exceed < n_runs
+    assert got == exceed / n_runs
 
 
 # The scalar loops the vectorised sweeps replaced, kept as their reference:

@@ -86,13 +86,17 @@ def test_weight_sums_match_fsum_over_the_alpha_range(alpha, window):
     assert _rel_err(_sq_weight_sum(alpha, window), W2) <= GEOM_RTOL
 
 
-def test_weight_sum_validates():
-    with pytest.raises(ConfigError):
-        weight_sum_W(0.0, 4)
-    with pytest.raises(ConfigError):
-        weight_sum_W(1.5, 4)
-    with pytest.raises(ConfigError):
-        weight_sum_W(0.9, 0)
+@pytest.mark.parametrize("weights_of", [weight_sum_W, alpha_weights])
+def test_weight_sum_validates(weights_of):
+    with pytest.raises(ConfigError, match="alpha must be in"):
+        weights_of(0.0, 4)
+    with pytest.raises(ConfigError, match="alpha must be in"):
+        weights_of(1.5, 4)
+    with pytest.raises(ConfigError, match="window must be an integer"):
+        weights_of(0.9, 0)
+    # a fractional window is refused, not rounded up to 3 weights
+    with pytest.raises(ConfigError, match="window must be an integer"):
+        weights_of(0.9, 2.5)
 
 
 def test_alpha_weights_values():

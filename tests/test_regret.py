@@ -1,4 +1,4 @@
-"""Regret ledgers, variance proxies, guarantee calculators, and log fits."""
+"""Regret ledgers, variance proxies, and guarantee calculators."""
 
 import math
 from math import fsum
@@ -24,7 +24,6 @@ from dynreg import (
     dlr_cumulative,
     effective_constants,
     exact_smoothed_gradient,
-    logarithmic_fit,
     loss_constants,
     make_config_adagrad,
     make_config_adam,
@@ -36,6 +35,7 @@ from dynreg import (
     variance_proxy,
     weight_sum_W,
 )
+from dynreg.regret import _window_sums
 
 
 def _trace_from_grads(grads):
@@ -97,14 +97,24 @@ def test_dlr_matches_brute_force(alpha, w):
     assert ledger.weight_sum == pytest.approx(weight_sum_W(alpha, w), rel=1e-15)
 
 
-def test_weighted_window_norms_tiny_case():
-    trace = _trace_from_grads([[1.0, 0.0], [0.0, 2.0]])
-    out = dlr_cumulative(trace, 2, 0.5).per_round
-    # round 1: [1, 0] / 1.5; round 2: [0.5, 2] / 1.5
-    assert out.tolist() == [
-        (1.0 / 1.5) ** 2,
-        (0.5 / 1.5) ** 2 + (2.0 / 1.5) ** 2,
-    ]
+_WINDOW_ROWS = spawn_rng_stream(0, 51).standard_normal((12, 3))
+
+
+# a hand-sized pair of rounds, then w = 1, w < T and w > T at both discounts
+@pytest.mark.parametrize(
+    "G,w,alpha",
+    [(np.array([[1.0, 0.0], [0.0, 2.0]]), 2, 0.5)]
+    + [(_WINDOW_ROWS, w, alpha) for w in (1, 5, 20) for alpha in (0.9, 1.0)],
+)
+def test_window_sums_are_the_exact_smoothed_gradients(G, w, alpha):
+    trace = _trace_from_grads(G)
+    S = _window_sums(G, w, alpha)
+    assert S.shape == G.shape
+    for t in range(1, len(G) + 1):
+        exact = exact_smoothed_gradient(trace, t, w, alpha)
+        np.testing.assert_allclose(S[t - 1], exact, rtol=1e-14, atol=0.0)
+    per_round = dlr_cumulative(trace, w, alpha).per_round
+    assert per_round.tolist() == np.einsum("td,td->t", S, S).tolist()
 
 
 def test_dlr_per_round_is_the_norm_of_the_exact_smoothed_gradient(gaussian_trace):
@@ -323,35 +333,6 @@ def test_adam_bound_varsigma_default_and_override():
     assert bigger.rhs < default.rhs  # a larger varsigma shrinks the prefactor
     with pytest.raises(ConfigError):
         bound_expectation(ADAM, opt, noise, consts, 0.05, 200, 6, 0.1, varsigma=0.0)
-
-
-def test_logarithmic_fit_recovers_a_log_curve():
-    horizons = np.array([100, 200, 400, 800, 1600])
-    values = 5.0 * np.log(horizons) + 2.0
-    fit = logarithmic_fit(horizons, values)
-    assert fit.slope == pytest.approx(5.0, rel=1e-9)
-    assert fit.intercept == pytest.approx(2.0, rel=1e-9)
-    assert fit.residual_norm < 1e-9
-    assert not fit.non_logarithmic
-
-
-def test_logarithmic_fit_flags_linear_growth():
-    horizons = np.array([100, 200, 400, 800])
-    fit = logarithmic_fit(horizons, horizons.astype(float))
-    assert fit.non_logarithmic
-    assert fit.tail_variation > 0.10
-    assert all(b > a for a, b in zip(fit.ratios, fit.ratios[1:]))
-
-
-def test_logarithmic_fit_validation():
-    with pytest.raises(ConfigError):
-        logarithmic_fit([10, 20], [1.0, 2.0])
-    with pytest.raises(ConfigError):
-        logarithmic_fit([10, 20, 15], [1.0, 2.0, 3.0])
-    with pytest.raises(ConfigError):
-        logarithmic_fit([1, 2, 3], [1.0, 2.0, 3.0])
-    with pytest.raises(ConfigError):
-        logarithmic_fit([10, 20, 40], [1.0, math.nan, 3.0])
 
 
 def test_dlr_ledger_that_overflows_is_a_numeric_error():
