@@ -37,7 +37,7 @@ from .optimizer import (
     smoothed_stochastic_gradient,
     step_size_at,
 )
-from .tasks import TaskRound, sine_argument
+from .tasks import TaskRound, sine_round_rows
 
 __all__ = [
     "InnerAdaptConfig",
@@ -49,6 +49,7 @@ __all__ = [
     "make_meta_state",
     "run_round",
     "run_stream",
+    "run_streams",
 ]
 
 
@@ -276,139 +277,197 @@ def run_stream(
 ) -> RunTrace:
     """Play `horizon` rounds of a sine-family stream and return the full trace.
 
-    The stream must expose the sine family's parameter arrays (params_upto,
-    amplitude), its noise, spec() and task(t); the rounds are played in an
-    array loop that equals run_round over stream.task(t) bit for bit.
+    The one-run call of run_streams: the stream must expose the sine
+    family's parameter arrays (params_upto, amplitude), its noise, spec()
+    and task(t), and the trace equals run_round over stream.task(t) bit for
+    bit, errors included.
     """
-    if not hasattr(stream, "params_upto"):
+    return run_streams([stream], horizon, inner, opt, [seed], x0)[0]
+
+
+def run_streams(streams, horizon: int, inner: InnerAdaptConfig, opt: OptimizerConfig, seeds, x0=None) -> list:
+    """Play R runs side by side in one array loop; returns their RunTraces.
+
+    Run r plays streams[r] with seed seeds[r]. The runs share the horizon,
+    dimension, amplitude, noise law, inner step, optimizer and starting
+    point x0 (zeros by default), and each keeps its own stream parameters
+    and its own random stream (seed, t) per round, so trace r equals
+    run_stream(streams[r], ..., seeds[r]) bit for bit.
+
+    Every finiteness check runs once per round over the (R, d) block, in
+    run_round's order: the sine argument at x, the adapted point, the sine
+    argument at U(x), the round loss and its gradient, the smoothed
+    gradient, the second moment and the iterate. The first failure in round
+    order wins; within a round, the first failing check, and within it the
+    lowest run. The NumericError carries the text that run would raise
+    alone; with R > 1 it is prefixed with the run's index and seed. A run
+    that fails in an earlier round than another is therefore reported even
+    if it comes later in the batch, unlike serial play, which reports the
+    first failure in seed order.
+    """
+    streams, seeds = list(streams), [int(seed) for seed in seeds]
+    if not streams or len(streams) != len(seeds):
         raise ConfigError(
-            f"run_stream plays sine-family streams only; {type(stream).__name__} "
-            "has no params_upto"
+            f"need one seed per stream and at least one run, got {len(streams)} streams "
+            f"and {len(seeds)} seeds"
         )
+    first = streams[0]
+    for stream in streams:
+        if not hasattr(stream, "params_upto"):
+            raise ConfigError(
+                f"run_stream plays sine-family streams only; {type(stream).__name__} "
+                "has no params_upto"
+            )
+        shared = (stream.dim, stream.amplitude, stream.noise)
+        if shared != (first.dim, first.amplitude, first.noise):
+            raise ConfigError(
+                "the runs of a batch share dim, amplitude and noise; got "
+                f"{shared} beside {(first.dim, first.amplitude, first.noise)}"
+            )
     if not isinstance(horizon, (int, np.integer)) or horizon < 1:
         raise ConfigError(f"horizon must be an integer >= 1, got {horizon!r}")
     horizon = int(horizon)
     if x0 is None:
-        x0 = np.zeros(stream.dim)
+        x0 = np.zeros(first.dim)
     x0 = as_vector(x0, "x0")
-    if x0.size != stream.dim:
-        raise DimensionError(f"x0 has length {x0.size}, stream dimension is {stream.dim}")
+    if x0.size != first.dim:
+        raise DimensionError(f"x0 has length {x0.size}, stream dimension is {first.dim}")
 
-    config = _snapshot(stream, horizon, inner, opt, seed, x0)
     # an overflowing sine argument, gradient, second moment or iterate raises
     # NumericError from the loop's own finiteness checks; numpy's warnings
     # would repeat it
     with np.errstate(over="ignore", invalid="ignore"):
-        arrays = _play_sine_stream(stream, horizon, inner, opt, seed, x0)
-    return RunTrace(
-        seed=int(seed),
-        horizon=horizon,
-        dim=stream.dim,
-        theta=inner.theta,
-        config=config,
-        stream=stream,
-        **arrays,
-    )
+        arrays = _play_sine_streams(streams, horizon, inner, opt, seeds, x0)
+    return [
+        RunTrace(
+            seed=seed,
+            horizon=horizon,
+            dim=stream.dim,
+            theta=inner.theta,
+            config=_snapshot(stream, horizon, inner, opt, seed, x0),
+            stream=stream,
+            **{name: arr[r] for name, arr in arrays.items()},
+        )
+        for r, (stream, seed) in enumerate(zip(streams, seeds))
+    ]
 
 
-def _first_non_finite(v: np.ndarray) -> int:
-    return int(np.flatnonzero(~np.isfinite(v))[0])
+def _raise_first_failure(t: int, seeds: list, s, xhat, loss, g, gt, v, x_new) -> None:
+    """Raise run_round's NumericError for the first non-finite block of round
+    t in run_round's order, at the lowest failing run and its first bad
+    coordinate k; the text names the run when the batch has several."""
+    sine = f"round {t} produced a non-finite sine argument <a, x> + b"
+    for block, message in (
+        (s, sine),
+        (xhat, "inner adaptation non-finite at coordinate {k}"),
+        (loss, sine),  # the loss is nan exactly when <a, U(x)> + b is not finite
+        (g, f"round {t} produced a non-finite loss or gradient"),
+        (gt, "smoothed gradient has a non-finite entry at coordinate {k}"),
+        (v, f"second moment overflowed at coordinate {{k}} (round {t})"),
+        (x_new, f"update produced a non-finite iterate at coordinate {{k}} (round {t})"),
+    ):
+        block = np.reshape(block, (len(seeds), -1))
+        bad = np.flatnonzero(~np.isfinite(block))
+        if bad.size:
+            run, k = divmod(int(bad[0]), block.shape[1])
+            text = message.format(k=k)
+            raise NumericError(text if len(seeds) == 1 else f"run {run} (seed {seeds[run]}): {text}")
 
 
-def _play_sine_stream(stream, T, inner, opt, seed, x0) -> dict:
-    """run_round's arithmetic for sine-family streams, over the stream's arrays.
+def _window_sum(window: SmoothingWindow, rows: np.ndarray, runs: int) -> np.ndarray:
+    """_weighted_row_sum over the ring's (occupied, R*d) rows, as each run's
+    own window would sum its (occupied, d) rows.
+
+    numpy sums a single column pairwise but a wider block row by row, so a
+    batch of one-coordinate runs sums each run's column as a contiguous row.
+    """
+    if rows.shape[1] == runs > 1:
+        cols = np.ascontiguousarray(rows.T)
+        if window.alpha == 1.0:
+            return cols.sum(axis=1)
+        return (window.weights[: len(rows)] * cols).sum(axis=1)
+    return _weighted_row_sum(window.alpha, window.weights, rows)
+
+
+def _play_sine_streams(streams, T, inner, opt, seeds, x0) -> dict:
+    """run_round's arithmetic for R sine-family runs, over (R, d) arrays.
 
     Performs the floating-point operations of inner_adapt,
-    RoundLoss.value_and_grad, SmoothingWindow.push,
-    smoothed_stochastic_gradient and dts_ag_step in their order, so the
-    trace equals the round-by-round path bit for bit, and raises the same
-    errors at the same round. One Philox is re-keyed per round; a round's
-    adaptation draw and window draw come from one call, which yields the
-    same sequence as two.
+    RoundLoss.value_and_grad (as sine_round_rows), SmoothingWindow.push,
+    smoothed_stochastic_gradient and dts_ag_step in their order, so each
+    run's rows equal the round-by-round path bit for bit, and raises the
+    same errors at the same round. Each run re-keys its own Philox per
+    round; a round's adaptation draw and window draw come from one call,
+    which yields the same sequence as two. The window ring holds one
+    (R*d)-wide row per round. Returns the trace arrays with the runs first.
     """
-    d = stream.dim
-    w = opt.window
-    A, B = stream.params_upto(T)
-    D = float(stream.amplitude)
-    noise = stream.noise
+    R, d, w = len(streams), streams[0].dim, opt.window
+    A = np.empty((T, R, d))  # round t's rows at t - 1
+    B = np.empty((T, R))
+    for r, stream in enumerate(streams):
+        A[:, r], B[:, r] = stream.params_upto(T)
+    D = float(streams[0].amplitude)
+    noise = streams[0].noise
     noisy = not noise.is_exact
     coord_std = noise.coord_std(d) if noisy else 0.0
     sqrt_tb = math.sqrt(inner.train_batch)
     theta = float(inner.theta)
     window = SmoothingWindow(opt.alpha, w)
     beta1, beta2, eps = opt.beta1, opt.beta2, opt.epsilon
-    rng = spawn_rng_stream(seed, 1)
+    rngs = [spawn_rng_stream(seed, 1) for seed in seeds]
+    draws = np.empty((min(w, T) + 1, R, d))  # run r's normals of round t: draws[:occ + 1, r]
 
-    iterates, adapted, grads, smoothed = (np.empty((T, d)) for _ in range(4))
-    losses = np.empty(T)
+    iterates, adapted, grads, smoothed = (np.empty((T, R, d)) for _ in range(4))
+    losses = np.empty((T, R, 1))
     etas = [step_size_at(opt, t) for t in range(1, T + 1)]
 
-    x = np.array(x0, dtype=np.float64)
-    m = np.zeros(d)
-    v = np.zeros(d)
+    x = np.empty((R, d))
+    x[:] = x0
+    m = np.zeros((R, d))
+    v = np.zeros((R, d))
     for i in range(T):
         t = i + 1
-        a = A[i]
-        b = float(B[i])
         occ = t if t < w else w
         if noisy:
-            z = coord_std * rng.rekey(t).standard_normal((occ + 1, d))
-        # inner_adapt
-        s = sine_argument(a, x, b, t)
-        g_in = (D * math.cos(s)) * a
-        if noisy:
-            xhat = x - theta * (g_in + z[0] / sqrt_tb)
-        else:
-            xhat = x - theta * g_in
-        if not np.isfinite(xhat).all():
-            raise NumericError(
-                f"inner adaptation non-finite at coordinate {_first_non_finite(xhat)}"
-            )
-        # RoundLoss.value_and_grad; with exact gradients U(x) is xhat's expression
-        u = x - theta * g_in if noisy else xhat
-        su = sine_argument(a, u, b, t)
-        val = D * math.sin(su)
-        g_out = (D * math.cos(su)) * a
-        corr = (-D * math.sin(s)) * float(np.dot(a, g_out)) * a
-        g = g_out - theta * corr
-        if not (math.isfinite(val) and np.isfinite(g).all()):
-            raise NumericError(f"round {t} produced a non-finite loss or gradient")
-        # SmoothingWindow.push, its checks already made
-        window._store(g)
+            for r, rng in enumerate(rngs):
+                draws[: occ + 1, r] = rng.rekey(t).standard_normal((occ + 1, d))
+            z = coord_std * draws[: occ + 1]
+        s, g_in, u, val, g = sine_round_rows(A[i], B[i], x, D, theta)
+        # inner_adapt; with exact gradients the adapted point is U(x)
+        xhat = x - theta * (g_in + z[0] / sqrt_tb) if noisy else u
+        # SmoothingWindow.push, its checks made below
+        window._store(g.reshape(-1))
         # smoothed_stochastic_gradient
         rows = window.gradient_matrix()
         if noisy:
-            rows = rows + z[1:]
-        gt = _weighted_row_sum(window.alpha, window.weights, rows) / window.weight_sum
-        if not np.isfinite(gt).all():
-            raise NumericError(
-                f"smoothed gradient has a non-finite entry at coordinate {_first_non_finite(gt)}"
-            )
+            rows = rows + z[1:].reshape(occ, R * d)
+        gt = (_window_sum(window, rows, R) / window.weight_sum).reshape(R, d)
         # dts_ag_step
         m = beta1 * m + gt
         v = beta2 * v + gt * gt
-        # g~ is finite and beta2 > 0, so v holds no nan: it overflowed iff its max is inf
-        if not math.isfinite(v.max()):
-            raise NumericError(
-                f"second moment overflowed at coordinate {_first_non_finite(v)} (round {t})"
-            )
         x_new = x - etas[i] * m / np.sqrt(eps + v)
-        if not np.isfinite(x_new).all():
-            raise NumericError(
-                "update produced a non-finite iterate at coordinate "
-                f"{_first_non_finite(x_new)} (round {t})"
-            )
+        # a non-finite s, loss, gradient or g~ leaves nan in xhat or x_new, and
+        # an overflowed v is inf, so one sum finds every failure; the search
+        # finds none when only the sum overflowed
+        if not math.isfinite(np.add.reduce(xhat + x_new + v, axis=None)):
+            _raise_first_failure(t, seeds, s, xhat, val, g, gt, v, x_new)
         iterates[i] = x
         adapted[i] = xhat
         losses[i] = val
         grads[i] = g
         smoothed[i] = gt
         x = x_new
-    return {
+    arrays = {
         "iterates": iterates,
         "adapted": adapted,
-        "losses": losses,
+        "losses": losses[:, :, 0],
         "grads": grads,
         "smoothed_grads": smoothed,
-        "step_sizes": np.array(etas),
     }
+    del iterates, adapted, losses, grads, smoothed
+    # runs first, each run's rows contiguous: a copy when R > 1, made one
+    # array at a time so that each buffer is freed as its copy is stored
+    for name, arr in arrays.items():
+        arrays[name] = np.ascontiguousarray(arr.swapaxes(0, 1))
+    arrays["step_sizes"] = np.array([etas] * R)
+    return arrays

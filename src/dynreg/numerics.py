@@ -1,4 +1,4 @@
-"""Shared numeric plumbing: vector checks, norms, finite differences, RNG streams.
+"""Shared numeric plumbing: vector checks, geometric sums, RNG streams.
 
 Everything downstream funnels through these helpers so that validation and
 error classification happen in one place.
@@ -16,7 +16,6 @@ __all__ = [
     "NumericError",
     "VerificationError",
     "as_vector",
-    "finite_difference_gradient",
     "geometric_sum",
     "RngStream",
     "spawn_rng_stream",
@@ -52,30 +51,6 @@ def as_vector(x, name: str = "x") -> np.ndarray:
         bad = int(np.flatnonzero(~np.isfinite(arr))[0])
         raise NumericError(f"{name} has a non-finite entry at coordinate {bad}")
     return arr
-
-
-def finite_difference_gradient(f, x, h: float = 1e-5) -> np.ndarray:
-    """Central-difference gradient estimate of a scalar function.
-
-    Coordinate i gets (f(x + h e_i) - f(x - h e_i)) / (2h).
-    """
-    if not (h > 0) or not math.isfinite(h):
-        raise ConfigError(f"step size h must be a positive finite real, got {h}")
-    base = as_vector(x, "x")
-    grad = np.empty_like(base)
-    probe = base.copy()
-    for i in range(base.size):
-        probe[i] = base[i] + h
-        fp = float(f(probe))
-        probe[i] = base[i] - h
-        fm = float(f(probe))
-        probe[i] = base[i]
-        if not (math.isfinite(fp) and math.isfinite(fm)):
-            raise NumericError(
-                f"function returned a non-finite value while probing coordinate {i}"
-            )
-        grad[i] = (fp - fm) / (2.0 * h)
-    return grad
 
 
 def geometric_sum(log_ratio: float, n: int) -> float:

@@ -33,6 +33,7 @@ __all__ = [
     "SineDriftStream",
     "PiecewiseDriftStream",
     "sine_argument",
+    "sine_round_rows",
     "loss_constants",
     "sub_gaussian_scale",
     "make_drifting_sine_stream",
@@ -183,6 +184,46 @@ def sine_argument(a: np.ndarray, x: np.ndarray, b: float, t: int) -> float:
     if not math.isfinite(s):
         raise NumericError(f"round {t} produced a non-finite sine argument <a, x> + b")
     return s
+
+
+def _row_dots(A: np.ndarray, X: np.ndarray):
+    """<a_i, x_i> for each row pair: an (R, 1) column, or a numpy scalar when
+    R = 1, whose arithmetic costs a fraction of a one-element array's.
+
+    On this numpy build np.vecdot, like the batched product
+    A[:, None, :] @ X[:, :, None], equals np.dot(a_i, x_i) bit for bit;
+    einsum and (A * X).sum(1) do not.
+    """
+    if len(A) == 1:
+        return np.dot(A[0], X[0])
+    return np.vecdot(A, X, keepdims=True)
+
+
+def sine_round_rows(A: np.ndarray, B: np.ndarray, X: np.ndarray, amplitude: float, theta: float):
+    """Round losses D sin(<a_i, U(x_i)> + b_i) and their gradients, row by row.
+
+    Row i holds one round's direction a_i, phase b_i and point x_i; U(x) =
+    x - theta D cos(<a, x> + b) a is the exact inner step. Returns
+    (s, g_in, u, loss, grad): s_i = <a_i, x_i> + b_i and the loss as an
+    (R, 1) column, or as numpy scalars when R = 1; the inner gradient
+    g_in = D cos(s) a, u = U(x) and the composite gradient
+    g_out - theta (-D sin(s)) <a, g_out> a, with g_out = D cos(<a, u> + b) a,
+    with shape (R, d).
+
+    The operations are make_sine_task's and RoundLoss.value_and_grad's, in
+    their order, so each row equals those scalar oracles bit for bit.
+    Nothing is checked: a non-finite s leaves nan in g_in and everything
+    after it, and a non-finite <a, u> + b nan in the loss and the gradient.
+    """
+    D = float(amplitude)
+    b = B[0] if len(B) == 1 else B[:, None]
+    s = _row_dots(A, X) + b
+    g_in = D * np.cos(s) * A
+    u = X - theta * g_in
+    su = _row_dots(A, u) + b
+    g_out = D * np.cos(su) * A
+    corr = -D * np.sin(s) * _row_dots(A, g_out) * A
+    return s, g_in, u, D * np.sin(su), g_out - theta * corr
 
 
 def make_sine_task(

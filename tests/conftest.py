@@ -1,15 +1,45 @@
-"""Shared fixtures for the test suite."""
+"""Shared fixtures and helpers for the test suite."""
 
+import math
+
+import numpy as np
 import pytest
 
 from dynreg import (
     GAUSSIAN,
+    ConfigError,
     InnerAdaptConfig,
     NoiseModel,
+    NumericError,
     make_config_adagrad,
     make_drifting_sine_stream,
     run_stream,
 )
+from dynreg.numerics import as_vector
+
+
+def finite_difference_gradient(f, x, h: float = 1e-5) -> np.ndarray:
+    """Central-difference gradient estimate of a scalar function.
+
+    Coordinate i gets (f(x + h e_i) - f(x - h e_i)) / (2h).
+    """
+    if not (h > 0) or not math.isfinite(h):
+        raise ConfigError(f"step size h must be a positive finite real, got {h}")
+    base = as_vector(x, "x")
+    grad = np.empty_like(base)
+    probe = base.copy()
+    for i in range(base.size):
+        probe[i] = base[i] + h
+        fp = float(f(probe))
+        probe[i] = base[i] - h
+        fm = float(f(probe))
+        probe[i] = base[i]
+        if not (math.isfinite(fp) and math.isfinite(fm)):
+            raise NumericError(
+                f"function returned a non-finite value while probing coordinate {i}"
+            )
+        grad[i] = (fp - fm) / (2.0 * h)
+    return grad
 
 
 @pytest.fixture(scope="session")

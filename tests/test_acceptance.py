@@ -38,13 +38,14 @@ from dynreg import (
     make_config_adam,
     make_drifting_sine_stream,
     run_stream,
+    run_streams,
     smoothed_stochastic_gradient,
     spawn_rng_stream,
     step_size_at,
     variance_proxy,
     weight_sum_W,
 )
-from dynreg.numerics import finite_difference_gradient
+from conftest import finite_difference_gradient
 
 
 def test_criterion_01_lemma_quick_suite_clean_within_budget(tmp_path, monkeypatch):
@@ -184,12 +185,13 @@ def test_criterion_07_dynamic_regret_grows_logarithmically_at_half_horizon_windo
     for T in horizons:
         w = math.ceil(T / 2)
         opt = make_config_adagrad(eta=0.7, alpha=1.0, window=w)
+        seeds = range(n_seeds)
+        streams = [
+            make_drifting_sine_stream(dim=40, drift_rate=0.3, noise=NoiseModel(EXACT), seed=seed)
+            for seed in seeds
+        ]
         total = 0.0
-        for seed in range(n_seeds):
-            stream = make_drifting_sine_stream(
-                dim=40, drift_rate=0.3, noise=NoiseModel(EXACT), seed=seed
-            )
-            trace = run_stream(stream, T, inner, opt, seed=seed)
+        for trace in run_streams(streams, T, inner, opt, seeds):
             total += dlr_cumulative(trace, w, 1.0).total
         ratio[T] = (total / n_seeds) / math.log(T)
     drift = abs(ratio[4000] / ratio[2000] - 1.0)
@@ -207,10 +209,13 @@ def test_criterion_08_expectation_bound_dominates_observed_regret():
     ).rhs
     assert math.isfinite(rhs)
     assert rhs > 0
+    seeds = range(100)
+    streams = [
+        make_drifting_sine_stream(dim=d, drift_rate=0.05, noise=noise, seed=seed)
+        for seed in seeds
+    ]
     covered = 0
-    for seed in range(100):
-        stream = make_drifting_sine_stream(dim=d, drift_rate=0.05, noise=noise, seed=seed)
-        trace = run_stream(stream, T, inner, opt, seed=seed)
+    for trace in run_streams(streams, T, inner, opt, seeds):
         if dlr_cumulative(trace, w, 1.0).total <= rhs:
             covered += 1
     assert covered >= 90

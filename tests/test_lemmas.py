@@ -28,12 +28,15 @@ from dynreg import (
     weight_sum_W,
 )
 from dynreg.lemmas import (
+    _DRIFT_CONFIGS,
+    _MC_PARTS,
     LemmaCheckResult,
     _BETA2_GRID,
     _EPS_GRID,
     _MOMENTUM_GRID,
     _Collector,
     _drift_bounds,
+    _drift_config,
     _merge,
     _named_positive_sequences,
     check_objective_drift,
@@ -184,11 +187,36 @@ def test_mc_smoothed_gradient_checks_pass_at_reduced_size():
     assert res.grid_size >= 3
 
 
+@pytest.mark.parametrize("part", range(len(_MC_PARTS)))
+def test_corruption_fails_every_check_of_every_mc_part(part):
+    kwargs = _MC_PARTS[part]
+    res = mc_smoothed_gradient_lemmas(**kwargs, seed=0, rhs_scale=0.1)
+    expected = {"unbiasedness", "variance-upper", "variance-lower"}
+    if "n_runs" in kwargs:
+        expected.add("deviation-exceedance")
+    assert {v.params["check"] for v in res.violations} == expected
+
+
+# A tenfold corruption leaves the two widest windows' drift bounds above
+# every observed drift; they fail only at these smaller scales.
+LOOSE_DRIFT_SCALES = {(16, 0.99, 4, 300): 0.05, (32, 0.99, 20, 500): 0.03}
+
+
+@pytest.mark.parametrize("config", _DRIFT_CONFIGS, ids=str)
+def test_corruption_fails_every_drift_config(config):
+    scale = LOOSE_DRIFT_SCALES.get(config, 0.1)
+    assert any(part.violations for part in _drift_config(0, scale, *config))
+    if config in LOOSE_DRIFT_SCALES:
+        assert not any(part.violations for part in _drift_config(0, 0.1, *config))
+
+
 def test_mc_exceedance_equals_the_per_round_reference():
     d, w, alpha, sigma, delta, n_runs, horizon = 5, 2, 0.9, 0.5, 0.9, 40, 16
-    # at rhs_scale 0 every check with a positive lhs is a violation that records it
+    # rhs_scale scales the threshold mubar and the fraction's bound; at 0.5
+    # the fraction exceeds its bound, and the violation records it
+    scale = 0.5
     res = mc_smoothed_gradient_lemmas(
-        d, w, alpha, sigma, 1000, delta=delta, n_runs=n_runs, rhs_scale=0.0
+        d, w, alpha, sigma, 1000, delta=delta, n_runs=n_runs, rhs_scale=scale
     )
     [got] = [v.lhs for v in res.violations if v.params["check"] == "deviation-exceedance"]
 
@@ -198,17 +226,18 @@ def test_mc_exceedance_equals_the_per_round_reference():
     inner = InnerAdaptConfig(theta=0.05)
     opt = make_config_adagrad(eta=0.1, alpha=alpha, window=w)
     mubar = variance_proxy(noise, w, alpha, delta=delta, dim=d).mubar
-    exceed = 0
+    worst = []
     for seed in range(n_runs):
         trace = run_stream(stream, horizon, inner, opt, seed=seed)
-        worst = 0.0
-        for t in range(1, horizon + 1):
-            dev = trace.smoothed_grads[t - 1] - exact_smoothed_gradient(trace, t, w, alpha)
-            worst = max(worst, float(dev @ dev))
-        if worst > mubar:
-            exceed += 1
+        devs = [
+            trace.smoothed_grads[t - 1] - exact_smoothed_gradient(trace, t, w, alpha)
+            for t in range(1, horizon + 1)
+        ]
+        worst.append(max(float(dev @ dev) for dev in devs))
+    exceed = sum(dev_sq > scale * mubar for dev_sq in worst)
     assert 0 < exceed < n_runs
     assert got == exceed / n_runs
+    assert res.tightest["max_dev_over_mubar"] == pytest.approx(max(worst) / mubar, rel=1e-12)
 
 
 # The scalar loops the vectorised sweeps replaced, kept as their reference:
@@ -310,6 +339,21 @@ def drift_traces():
         trace = run_stream(stream, 60, InnerAdaptConfig(theta=0.05), opt, seed=seed)
         traces.append((trace, w, alpha))
     return traces
+
+
+@pytest.mark.parametrize("rhs_scale", [1.0, 0.02])
+def test_objective_drift_on_a_long_trace_equals_the_per_round_losses(rhs_scale):
+    """The drift check's next-iterate losses come from one row-kernel call;
+    on a 300-round trace of the drift suite's shape its lhs, rhs, slack and
+    tightest equal those from one RoundLoss per round."""
+    stream = make_drifting_sine_stream(
+        dim=4, drift_rate=0.1, noise=NoiseModel(GAUSSIAN, sigma=0.5), seed=3
+    )
+    opt = make_config_adagrad(eta=0.2, alpha=0.99, window=16)
+    trace = run_stream(stream, 300, InnerAdaptConfig(theta=0.05), opt, seed=3)
+    got = check_objective_drift(trace, 16, 0.99, rhs_scale=rhs_scale)
+    _assert_same_sweep(got, _scalar_objective_drift(trace, 16, 0.99, rhs_scale))
+    assert got.passed == (rhs_scale == 1.0)
 
 
 @pytest.mark.parametrize("rhs_scale", [1.0, 0.1])

@@ -27,13 +27,14 @@ from dynreg import (
     make_piecewise_drift_stream,
     run_round,
     run_stream,
+    run_streams,
     slr_cumulative,
     smoothed_stochastic_gradient,
     spawn_rng_stream,
     step_size_at,
 )
 from dynreg.config import load_config
-from dynreg.numerics import finite_difference_gradient
+from conftest import finite_difference_gradient
 
 
 def _stream(dim=3, sigma=0.5, seed=5, drift=0.05):
@@ -163,6 +164,92 @@ def test_run_stream_numpy_equals_manual_round_loop(case):
         assert np.array_equal(trace.grads[i], rec.grad)
         assert np.array_equal(trace.smoothed_grads[i], rec.smoothed_grad)
         assert trace.step_sizes[i] == rec.step_size
+
+
+TRACE_ARRAYS = ("iterates", "adapted", "losses", "grads", "smoothed_grads", "step_sizes")
+
+
+def _batch_streams(noise, dim=3):
+    """Four different streams sharing dim, amplitude and noise: three drifting
+    ones and a piecewise one."""
+    streams = [make_drifting_sine_stream(dim=dim, drift_rate=0.1, noise=noise, seed=s) for s in (5, 2, 9)]
+    streams.append(
+        make_piecewise_drift_stream(dim=dim, segment_length=7, jump_scale=0.4, noise=noise, seed=2)
+    )
+    return streams
+
+
+# run_streams against one run_stream call per run: each noise law, rings that
+# wrap (w < T) and windows wider than the horizon, alpha < 1 and alpha = 1,
+# both optimizer presets, and d = 1, whose windows are summed run by run
+BATCH_CASES = {
+    "gaussian-wraps": (NoiseModel(GAUSSIAN, sigma=0.5), make_config_adagrad(eta=0.2, alpha=0.9, window=4), 3, 30),
+    "subgaussian-momentum-wide": (
+        NoiseModel(SUBGAUSSIAN, sigma=0.9),
+        make_config_adam(eta=0.05, beta1=0.9, beta2=0.99, alpha=0.8, window=64),
+        3,
+        25,
+    ),
+    "exact-alpha1-wraps": (NoiseModel(EXACT), make_config_adagrad(eta=0.2, alpha=1.0, window=8), 5, 40),
+    "gaussian-momentum-alpha1-wide": (
+        NoiseModel(GAUSSIAN, sigma=0.5),
+        make_config_adam(eta=0.05, alpha=1.0, window=40),
+        4,
+        30,
+    ),
+    "d1-gaussian-wraps": (NoiseModel(GAUSSIAN, sigma=0.5), make_config_adagrad(eta=0.2, alpha=0.9, window=12), 1, 30),
+    "d1-exact-alpha1-wraps": (NoiseModel(EXACT), make_config_adagrad(eta=0.2, alpha=1.0, window=9), 1, 30),
+}
+
+
+@pytest.mark.parametrize("case", list(BATCH_CASES))
+def test_run_streams_equals_one_run_stream_per_run(case):
+    noise, opt, dim, T = BATCH_CASES[case]
+    inner = InnerAdaptConfig(theta=0.05)
+    seeds = [5, 2, 9, 2]  # a seed repeated on a different stream
+    traces = run_streams(_batch_streams(noise, dim), T, inner, opt, seeds)
+    assert len(traces) == len(seeds)
+    for stream, seed, trace in zip(_batch_streams(noise, dim), seeds, traces):
+        ref = run_stream(stream, T, inner, opt, seed=seed)
+        assert trace.seed == seed
+        assert trace.config == ref.config
+        for name in TRACE_ARRAYS:
+            assert np.array_equal(getattr(trace, name), getattr(ref, name)), name
+
+
+def test_run_streams_validates_the_batch():
+    noise = NoiseModel(GAUSSIAN, sigma=0.5)
+    inner = InnerAdaptConfig(theta=0.05)
+    opt = make_config_adagrad(eta=0.2)
+    streams = _batch_streams(noise)
+    with pytest.raises(ConfigError):
+        run_streams(streams, 5, inner, opt, [1, 2])
+    with pytest.raises(ConfigError):
+        run_streams([], 5, inner, opt, [])
+    with pytest.raises(ConfigError):
+        run_streams(streams[:1] + _batch_streams(noise, dim=2)[:1], 5, inner, opt, [1, 2])
+    exact = make_drifting_sine_stream(dim=3, noise=NoiseModel(EXACT), seed=1)
+    with pytest.raises(ConfigError):
+        run_streams([streams[0], exact], 5, inner, opt, [1, 2])
+
+
+def test_a_batch_reports_the_first_failure_in_round_order():
+    # alone, seed 1 overflows the second moment in round 5 and seed 2 in round 3
+    noise = NoiseModel(GAUSSIAN, sigma=3e154)
+    inner = InnerAdaptConfig(theta=0.05, train_batch=1)
+    opt = make_config_adagrad(eta=0.2, alpha=1.0, window=4)
+
+    def stream(seed):
+        return make_drifting_sine_stream(dim=3, drift_rate=0.05, noise=noise, seed=seed)
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        alone = {seed: _numeric_error(lambda: run_stream(stream(seed), 8, inner, opt, seed=seed)) for seed in (1, 2)}
+        batch = _numeric_error(lambda: run_streams([stream(1), stream(2)], 8, inner, opt, [1, 2]))
+    assert alone == {
+        1: "second moment overflowed at coordinate 2 (round 5)",
+        2: "second moment overflowed at coordinate 0 (round 3)",
+    }
+    assert batch == f"run 1 (seed 2): {alone[2]}"
 
 
 def _numeric_error(fn) -> str:

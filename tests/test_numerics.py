@@ -14,10 +14,7 @@ from dynreg import (
     RngStream,
     spawn_rng_stream,
 )
-from dynreg.numerics import (
-    as_vector,
-    finite_difference_gradient,
-)
+from dynreg.numerics import as_vector
 
 
 def test_as_vector_accepts_lists_and_scalars():
@@ -36,26 +33,6 @@ def test_as_vector_rejects_bad_shapes_and_values():
         as_vector([0.0, math.nan])
     with pytest.raises(NumericError, match="coordinate 2"):
         as_vector(np.array([0.0, 1.0, math.inf]))
-
-
-def test_finite_difference_gradient_on_quadratic():
-    coeffs = np.array([2.0, -1.0, 0.5])
-
-    def f(x):
-        return float(coeffs @ (x * x))
-
-    x = np.array([0.3, -1.2, 2.0])
-    fd = finite_difference_gradient(f, x, h=1e-6)
-    assert np.max(np.abs(fd - 2.0 * coeffs * x)) < 1e-7
-
-
-def test_finite_difference_gradient_validates_inputs():
-    with pytest.raises(ConfigError):
-        finite_difference_gradient(lambda x: 0.0, [1.0], h=0.0)
-    with pytest.raises(ConfigError):
-        finite_difference_gradient(lambda x: 0.0, [1.0], h=-1e-5)
-    with pytest.raises(NumericError):
-        finite_difference_gradient(lambda x: math.nan, [1.0])
 
 
 def test_rng_stream_reproducible_and_keyed():

@@ -15,12 +15,14 @@ from dynreg import (
     loss_constants,
     make_drifting_sine_stream,
     make_piecewise_drift_stream,
+    RoundLoss,
     make_sine_task,
+    sine_round_rows,
     spawn_rng_stream,
     sub_gaussian_scale,
 )
 from dynreg import tasks
-from dynreg.numerics import finite_difference_gradient
+from conftest import finite_difference_gradient
 
 
 def test_loss_constants_are_powers_of_the_frequency_scale():
@@ -106,6 +108,28 @@ def test_sine_task_gradient_matches_finite_differences():
     x = np.array([0.5, -0.2, 0.8])
     fd = finite_difference_gradient(task.loss, x)
     assert np.max(np.abs(fd - task.grad(x))) < 1e-9
+
+
+@pytest.mark.parametrize("d", [1, 4, 5, 10, 40])
+def test_sine_round_rows_equal_the_scalar_oracles(d):
+    rng = spawn_rng_stream(d, 7)
+    n = 300
+    A = rng.standard_normal((n, d)) * rng.uniform(0.1, 3.0, size=(n, 1))
+    X = rng.uniform(-4.0, 4.0, size=(n, d))
+    B = rng.uniform(0.0, 2.0 * math.pi, size=n)
+    D, theta = 1.3, 0.07
+    s, g_in, u, loss, grad = sine_round_rows(A, B, X, D, theta)
+    assert s.shape == loss.shape == (n, 1)
+    s, loss = s[:, 0], loss[:, 0]
+    for i in range(n):
+        task = make_sine_task(1, D, A[i], B[i], NoiseModel(EXACT))
+        rl = RoundLoss(task, theta)
+        val, g = rl.value_and_grad(X[i])
+        assert s[i] == tasks.sine_argument(A[i], X[i], float(B[i]), 1)
+        assert np.array_equal(g_in[i], task.grad(X[i]))
+        assert np.array_equal(u[i], rl.adapted(X[i]))
+        assert loss[i] == rl.loss(X[i]) == val
+        assert np.array_equal(grad[i], g)
 
 
 def test_sine_argument_is_checked_in_every_oracle():
