@@ -8,8 +8,9 @@ x via the time-smoothed adaptive step.
 
 All stochasticity of round t comes from the stream (seed, t): one adaptation
 draw, then one batched window draw. A run is therefore a pure function of
-(stream, horizon, configs, seed), whichever loop plays it: run_stream's
-array loop, or run_round called once per round.
+(stream, horizon, configs, seed), whichever loop plays it: run_round called
+once per round, or the one array loop, which run_streams uses to step R runs
+side by side on (R, d) arrays and run_stream calls with R = 1.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from .numerics import (
     DimensionError,
     NumericError,
     RngStream,
+    _check_key_part,
     as_vector,
     spawn_rng_stream,
 )
@@ -285,7 +287,14 @@ def run_stream(
     return run_streams([stream], horizon, inner, opt, [seed], x0)[0]
 
 
-def run_streams(streams, horizon: int, inner: InnerAdaptConfig, opt: OptimizerConfig, seeds, x0=None) -> list:
+def run_streams(
+    streams,
+    horizon: int,
+    inner: InnerAdaptConfig,
+    opt: OptimizerConfig,
+    seeds,
+    x0=None,
+) -> list:
     """Play R runs side by side in one array loop; returns their RunTraces.
 
     Run r plays streams[r] with seed seeds[r]. The runs share the horizon,
@@ -305,7 +314,7 @@ def run_streams(streams, horizon: int, inner: InnerAdaptConfig, opt: OptimizerCo
     if it comes later in the batch, unlike serial play, which reports the
     first failure in seed order.
     """
-    streams, seeds = list(streams), [int(seed) for seed in seeds]
+    streams, seeds = list(streams), [_check_key_part("seed", seed) for seed in seeds]
     if not streams or len(streams) != len(seeds):
         raise ConfigError(
             f"need one seed per stream and at least one run, got {len(streams)} streams "
@@ -371,10 +380,12 @@ def _raise_first_failure(t: int, seeds: list, s, xhat, loss, g, gt, v, x_new) ->
         if bad.size:
             run, k = divmod(int(bad[0]), block.shape[1])
             text = message.format(k=k)
-            raise NumericError(text if len(seeds) == 1 else f"run {run} (seed {seeds[run]}): {text}")
+            if len(seeds) > 1:
+                text = f"run {run} (seed {seeds[run]}): {text}"
+            raise NumericError(text)
 
 
-def _window_sum(window: SmoothingWindow, rows: np.ndarray, runs: int) -> np.ndarray:
+def _runs_window_sum(window: SmoothingWindow, rows: np.ndarray, runs: int) -> np.ndarray:
     """_weighted_row_sum over the ring's (occupied, R*d) rows, as each run's
     own window would sum its (occupied, d) rows.
 
@@ -396,9 +407,9 @@ def _play_sine_streams(streams, T, inner, opt, seeds, x0) -> dict:
     RoundLoss.value_and_grad (as sine_round_rows), SmoothingWindow.push,
     smoothed_stochastic_gradient and dts_ag_step in their order, so each
     run's rows equal the round-by-round path bit for bit, and raises the
-    same errors at the same round. Each run re-keys its own Philox per
-    round; a round's adaptation draw and window draw come from one call,
-    which yields the same sequence as two. The window ring holds one
+    same errors at the same round. One Philox is re-keyed to (seed, t) for
+    each run's round; a round's adaptation draw and window draw come from
+    one call, which yields the same sequence as two. The window ring holds one
     (R*d)-wide row per round. Returns the trace arrays with the runs first.
     """
     R, d, w = len(streams), streams[0].dim, opt.window
@@ -414,11 +425,11 @@ def _play_sine_streams(streams, T, inner, opt, seeds, x0) -> dict:
     theta = float(inner.theta)
     window = SmoothingWindow(opt.alpha, w)
     beta1, beta2, eps = opt.beta1, opt.beta2, opt.epsilon
-    rngs = [spawn_rng_stream(seed, 1) for seed in seeds]
+    rng = spawn_rng_stream(seeds[0], 1)  # re-keyed to (seeds[r], t) for run r's round t
     draws = np.empty((min(w, T) + 1, R, d))  # run r's normals of round t: draws[:occ + 1, r]
 
     iterates, adapted, grads, smoothed = (np.empty((T, R, d)) for _ in range(4))
-    losses = np.empty((T, R, 1))
+    losses = np.empty((T, R, 1))  # sine_round_rows gives each round's losses as a column
     etas = [step_size_at(opt, t) for t in range(1, T + 1)]
 
     x = np.empty((R, d))
@@ -429,8 +440,8 @@ def _play_sine_streams(streams, T, inner, opt, seeds, x0) -> dict:
         t = i + 1
         occ = t if t < w else w
         if noisy:
-            for r, rng in enumerate(rngs):
-                draws[: occ + 1, r] = rng.rekey(t).standard_normal((occ + 1, d))
+            for r, seed in enumerate(seeds):
+                draws[: occ + 1, r] = rng.rekey(t, seed).standard_normal((occ + 1, d))
             z = coord_std * draws[: occ + 1]
         s, g_in, u, val, g = sine_round_rows(A[i], B[i], x, D, theta)
         # inner_adapt; with exact gradients the adapted point is U(x)
@@ -441,7 +452,7 @@ def _play_sine_streams(streams, T, inner, opt, seeds, x0) -> dict:
         rows = window.gradient_matrix()
         if noisy:
             rows = rows + z[1:].reshape(occ, R * d)
-        gt = (_window_sum(window, rows, R) / window.weight_sum).reshape(R, d)
+        gt = (_runs_window_sum(window, rows, R) / window.weight_sum).reshape(R, d)
         # dts_ag_step
         m = beta1 * m + gt
         v = beta2 * v + gt * gt

@@ -95,27 +95,32 @@ class RngStream:
         self._gen = np.random.Generator(np.random.Philox(key=key))
         self._state = None
 
-    def rekey(self, stream_id: int) -> "RngStream":
+    def rekey(self, stream_id: int, seed=None) -> "RngStream":
         """Switch in place to the stream (seed, stream_id); returns self.
 
-        Resets the Philox counter, its output buffer and its cached uint32,
-        so the draws that follow equal those of a fresh
-        spawn_rng_stream(seed, stream_id), at a fraction of its cost.
+        seed defaults to the stream's own. Resets the Philox counter, its
+        output buffer and its cached uint32, so the draws that follow equal
+        those of a fresh spawn_rng_stream(seed, stream_id), at a fraction of
+        its cost, so one generator can serve many seeds in turn.
         """
         sid = _check_key_part("stream_id", stream_id)
+        if seed is not None:
+            self.seed = _check_key_part("seed", seed)
         if self._state is None:  # built on first use: most streams are never re-keyed
             self._state = {
                 "bit_generator": "Philox",
                 "state": {
                     "counter": np.zeros(4, dtype=np.uint64),
-                    "key": np.array([0, self.seed], dtype=np.uint64),
+                    "key": np.zeros(2, dtype=np.uint64),
                 },
                 "buffer": np.zeros(4, dtype=np.uint64),
                 "buffer_pos": 4,
                 "has_uint32": 0,
                 "uinteger": 0,
             }
-        self._state["state"]["key"][0] = sid
+        key = self._state["state"]["key"]
+        key[0] = sid
+        key[1] = self.seed
         self._gen.bit_generator.state = self._state
         self.stream_id = sid
         return self

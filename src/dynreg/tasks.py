@@ -190,16 +190,17 @@ def _row_dots(A: np.ndarray, X: np.ndarray):
     """<a_i, x_i> for each row pair: an (R, 1) column, or a numpy scalar when
     R = 1, whose arithmetic costs a fraction of a one-element array's.
 
-    On this numpy build np.vecdot, like the batched product
-    A[:, None, :] @ X[:, :, None], equals np.dot(a_i, x_i) bit for bit;
-    einsum and (A * X).sum(1) do not.
+    On this numpy build the batched product A[:, None, :] @ X[:, :, None]
+    equals np.dot(a_i, x_i) bit for bit; einsum and (A * X).sum(1) do not.
     """
     if len(A) == 1:
         return np.dot(A[0], X[0])
-    return np.vecdot(A, X, keepdims=True)
+    return (A[:, None, :] @ X[:, :, None])[:, :, 0]
 
 
-def sine_round_rows(A: np.ndarray, B: np.ndarray, X: np.ndarray, amplitude: float, theta: float):
+def sine_round_rows(
+    A: np.ndarray, B: np.ndarray, X: np.ndarray, amplitude: float, theta: float
+):
     """Round losses D sin(<a_i, U(x_i)> + b_i) and their gradients, row by row.
 
     Row i holds one round's direction a_i, phase b_i and point x_i; U(x) =

@@ -172,7 +172,9 @@ TRACE_ARRAYS = ("iterates", "adapted", "losses", "grads", "smoothed_grads", "ste
 def _batch_streams(noise, dim=3):
     """Four different streams sharing dim, amplitude and noise: three drifting
     ones and a piecewise one."""
-    streams = [make_drifting_sine_stream(dim=dim, drift_rate=0.1, noise=noise, seed=s) for s in (5, 2, 9)]
+    streams = [
+        make_drifting_sine_stream(dim=dim, drift_rate=0.1, noise=noise, seed=s) for s in (5, 2, 9)
+    ]
     streams.append(
         make_piecewise_drift_stream(dim=dim, segment_length=7, jump_scale=0.4, noise=noise, seed=2)
     )
@@ -183,22 +185,30 @@ def _batch_streams(noise, dim=3):
 # wrap (w < T) and windows wider than the horizon, alpha < 1 and alpha = 1,
 # both optimizer presets, and d = 1, whose windows are summed run by run
 BATCH_CASES = {
-    "gaussian-wraps": (NoiseModel(GAUSSIAN, sigma=0.5), make_config_adagrad(eta=0.2, alpha=0.9, window=4), 3, 30),
+    "gaussian-wraps": (
+        NoiseModel(GAUSSIAN, sigma=0.5), make_config_adagrad(eta=0.2, alpha=0.9, window=4), 3, 30
+    ),
     "subgaussian-momentum-wide": (
         NoiseModel(SUBGAUSSIAN, sigma=0.9),
         make_config_adam(eta=0.05, beta1=0.9, beta2=0.99, alpha=0.8, window=64),
         3,
         25,
     ),
-    "exact-alpha1-wraps": (NoiseModel(EXACT), make_config_adagrad(eta=0.2, alpha=1.0, window=8), 5, 40),
+    "exact-alpha1-wraps": (
+        NoiseModel(EXACT), make_config_adagrad(eta=0.2, alpha=1.0, window=8), 5, 40
+    ),
     "gaussian-momentum-alpha1-wide": (
         NoiseModel(GAUSSIAN, sigma=0.5),
         make_config_adam(eta=0.05, alpha=1.0, window=40),
         4,
         30,
     ),
-    "d1-gaussian-wraps": (NoiseModel(GAUSSIAN, sigma=0.5), make_config_adagrad(eta=0.2, alpha=0.9, window=12), 1, 30),
-    "d1-exact-alpha1-wraps": (NoiseModel(EXACT), make_config_adagrad(eta=0.2, alpha=1.0, window=9), 1, 30),
+    "d1-gaussian-wraps": (
+        NoiseModel(GAUSSIAN, sigma=0.5), make_config_adagrad(eta=0.2, alpha=0.9, window=12), 1, 30
+    ),
+    "d1-exact-alpha1-wraps": (
+        NoiseModel(EXACT), make_config_adagrad(eta=0.2, alpha=1.0, window=9), 1, 30
+    ),
 }
 
 
@@ -227,6 +237,8 @@ def test_run_streams_validates_the_batch():
     with pytest.raises(ConfigError):
         run_streams([], 5, inner, opt, [])
     with pytest.raises(ConfigError):
+        run_streams(streams[:2], 5, inner, opt, [1, 2.5])
+    with pytest.raises(ConfigError):
         run_streams(streams[:1] + _batch_streams(noise, dim=2)[:1], 5, inner, opt, [1, 2])
     exact = make_drifting_sine_stream(dim=3, noise=NoiseModel(EXACT), seed=1)
     with pytest.raises(ConfigError):
@@ -243,7 +255,10 @@ def test_a_batch_reports_the_first_failure_in_round_order():
         return make_drifting_sine_stream(dim=3, drift_rate=0.05, noise=noise, seed=seed)
 
     with np.errstate(over="ignore", invalid="ignore"):
-        alone = {seed: _numeric_error(lambda: run_stream(stream(seed), 8, inner, opt, seed=seed)) for seed in (1, 2)}
+        alone = {
+            seed: _numeric_error(lambda: run_stream(stream(seed), 8, inner, opt, seed=seed))
+            for seed in (1, 2)
+        }
         batch = _numeric_error(lambda: run_streams([stream(1), stream(2)], 8, inner, opt, [1, 2]))
     assert alone == {
         1: "second moment overflowed at coordinate 2 (round 5)",

@@ -88,11 +88,26 @@ def test_rng_stream_rekey_equals_a_fresh_stream(seed):
             assert np.array_equal(got, want)
 
 
-def test_rng_stream_rekey_validates_the_stream_id():
+def test_rng_stream_rekey_to_another_seed_equals_a_fresh_stream():
+    rng = spawn_rng_stream(3, 0)
+    _mixed_draws(rng)
+    for seed, stream_id in ((9, 7), ((1 << 64) - 1, 1), (3, 2)):
+        assert rng.rekey(stream_id, seed) is rng
+        assert (rng.seed, rng.stream_id) == (seed, stream_id)
+        fresh = spawn_rng_stream(seed, stream_id)
+        for got, want in zip(_mixed_draws(rng), _mixed_draws(fresh)):
+            assert np.array_equal(got, want)
+    rng.rekey(5)  # keeps the last seed
+    assert np.array_equal(rng.standard_normal(4), spawn_rng_stream(3, 5).standard_normal(4))
+
+
+def test_rng_stream_rekey_validates_the_stream_id_and_seed():
     rng = spawn_rng_stream(3, 1)
     for bad in (-1, 1 << 64, 2.5, True):
         with pytest.raises(ConfigError):
             rng.rekey(bad)
+        with pytest.raises(ConfigError):
+            rng.rekey(1, seed=bad)
 
 
 def test_rng_stream_integers_method():

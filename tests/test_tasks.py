@@ -17,7 +17,6 @@ from dynreg import (
     make_piecewise_drift_stream,
     RoundLoss,
     make_sine_task,
-    sine_round_rows,
     spawn_rng_stream,
     sub_gaussian_scale,
 )
@@ -118,7 +117,7 @@ def test_sine_round_rows_equal_the_scalar_oracles(d):
     X = rng.uniform(-4.0, 4.0, size=(n, d))
     B = rng.uniform(0.0, 2.0 * math.pi, size=n)
     D, theta = 1.3, 0.07
-    s, g_in, u, loss, grad = sine_round_rows(A, B, X, D, theta)
+    s, g_in, u, loss, grad = tasks.sine_round_rows(A, B, X, D, theta)
     assert s.shape == loss.shape == (n, 1)
     s, loss = s[:, 0], loss[:, 0]
     for i in range(n):
