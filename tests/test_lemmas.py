@@ -330,30 +330,18 @@ def _assert_same_sweep(got, want):
 
 @pytest.fixture(scope="module")
 def drift_traces():
+    # (dim, window, alpha, seed, horizon); the last is a drift-suite trace,
+    # whose next-iterate losses come from one row-kernel call
     traces = []
-    for w, alpha, seed in ((3, 0.9, 3), (4, 1.0, 3)):
+    shapes = ((3, 3, 0.9, 3, 60), (3, 4, 1.0, 3, 60), (4, 4, 0.9, 0, 300))
+    for dim, w, alpha, seed, horizon in shapes:
         stream = make_drifting_sine_stream(
-            dim=3, drift_rate=0.1, noise=NoiseModel(GAUSSIAN, sigma=0.5), seed=seed
+            dim=dim, drift_rate=0.1, noise=NoiseModel(GAUSSIAN, sigma=0.5), seed=seed
         )
         opt = make_config_adagrad(eta=0.2, alpha=alpha, window=w)
-        trace = run_stream(stream, 60, InnerAdaptConfig(theta=0.05), opt, seed=seed)
+        trace = run_stream(stream, horizon, InnerAdaptConfig(theta=0.05), opt, seed=seed)
         traces.append((trace, w, alpha))
     return traces
-
-
-@pytest.mark.parametrize("rhs_scale", [1.0, 0.02])
-def test_objective_drift_on_a_long_trace_equals_the_per_round_losses(rhs_scale):
-    """The drift check's next-iterate losses come from one row-kernel call;
-    on a 300-round trace of the drift suite's shape its lhs, rhs, slack and
-    tightest equal those from one RoundLoss per round."""
-    stream = make_drifting_sine_stream(
-        dim=4, drift_rate=0.1, noise=NoiseModel(GAUSSIAN, sigma=0.5), seed=3
-    )
-    opt = make_config_adagrad(eta=0.2, alpha=0.99, window=16)
-    trace = run_stream(stream, 300, InnerAdaptConfig(theta=0.05), opt, seed=3)
-    got = check_objective_drift(trace, 16, 0.99, rhs_scale=rhs_scale)
-    _assert_same_sweep(got, _scalar_objective_drift(trace, 16, 0.99, rhs_scale))
-    assert got.passed == (rhs_scale == 1.0)
 
 
 @pytest.mark.parametrize("rhs_scale", [1.0, 0.1])
