@@ -36,7 +36,7 @@ from .optimizer import (
     alpha_weights,
     weight_sum_W,
 )
-from .tasks import LossConstants, NoiseModel, _power, sub_gaussian_scale
+from .tasks import LossConstants, NoiseModel, _power
 
 __all__ = [
     "ADAGRAD",
@@ -246,9 +246,7 @@ def variance_proxy(
     zeta = sigma2 / W
     zeta_hp = None
     mubar = None
-    kappa = noise.kappa
-    if kappa is None and not noise.is_exact and dim is not None:
-        kappa = sub_gaussian_scale(noise.sigma, dim)
+    kappa = noise.kappa if dim is None else noise.kappa_for(dim)
     if delta is not None:
         if not (0.0 < delta < 1.0):
             raise ConfigError(f"delta must be in (0, 1), got {delta}")

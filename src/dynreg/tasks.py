@@ -1,9 +1,11 @@
 """Synthetic non-stationary task streams and their gradient oracles.
 
 Each round t carries a sinusoidal loss ell_t(x) = D * sin(<a_t, x> + b_t)
-whose parameters drift slowly (random walk) or jump at segment boundaries.
-The direction vector a_t always has norm equal to the configured frequency
-scale, so the regularity constants are uniform over the stream:
+whose parameters follow one random walk, which steps at the start of each
+segment of rounds: every round for the drifting family, every
+segment_length rounds for the piecewise family. The direction vector a_t
+always has norm equal to the configured frequency scale, so the regularity
+constants are uniform over the stream:
 
     |ell| <= D,   Lipschitz L = D*s,   smoothness gamma = D*s^2,
     Hessian-Lipschitz H = D*s^3,       with s = ||a_t||.
@@ -21,7 +23,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .numerics import ConfigError, NumericError, RngStream, spawn_rng_stream
+from .numerics import ConfigError, NumericError, RngStream, _check_key_part, spawn_rng_stream
 
 __all__ = [
     "EXACT",
@@ -30,8 +32,7 @@ __all__ = [
     "LossConstants",
     "NoiseModel",
     "TaskRound",
-    "SineDriftStream",
-    "PiecewiseDriftStream",
+    "SineStream",
     "sine_argument",
     "sine_round_rows",
     "loss_constants",
@@ -265,21 +266,38 @@ def _unit(v: np.ndarray) -> np.ndarray:
     return v / n
 
 
-class _SineStreamBase:
-    """Common plumbing for sine-family streams with drifting parameters."""
+DRIFTING = "drifting-sine"
+PIECEWISE = "piecewise-sine"
 
-    kind = "sine"
 
-    def __init__(self, dim, amplitude, freq_scale, noise, seed):
+class SineStream:
+    """Sine tasks whose direction and phase follow one random walk.
+
+    The walk holds its state for segment_length rounds and steps at each
+    segment start: the unit direction moves by a Gaussian step of RMS size
+    `step` and is re-normalized, the phase by a Gaussian step of std `step`.
+    The drifting family is the walk with one-round segments and step
+    drift_rate, the piecewise family the walk with step jump_scale; the
+    family only names the parameters in spec(). step = 0 freezes the walk,
+    giving a stationary stream. make_drifting_sine_stream and
+    make_piecewise_drift_stream build it and check the walk's parameters.
+    """
+
+    def __init__(self, family, dim, segment_length, step, amplitude, freq_scale, noise, seed):
         if not isinstance(dim, (int, np.integer)) or dim < 1:
             raise ConfigError(f"dim must be an integer >= 1, got {dim!r}")
+        if noise is None:
+            noise = NoiseModel(EXACT)
         if not isinstance(noise, NoiseModel):
             raise ConfigError("noise must be a NoiseModel")
+        self.kind = family
         self.dim = int(dim)
+        self.segment_length = int(segment_length)
+        self.step = float(step)
         self.amplitude = float(amplitude)
         self.freq_scale = float(freq_scale)
         self.noise = noise
-        self.seed = int(seed)
+        self.seed = _check_key_part("seed", seed)
         # constants() validates amplitude/freq_scale ranges
         self._constants = loss_constants(self.amplitude, self.freq_scale)
         self._A = np.empty((0, self.dim))
@@ -288,27 +306,44 @@ class _SineStreamBase:
     def constants(self) -> LossConstants:
         return self._constants
 
-    def _extend(self, A: np.ndarray, B: np.ndarray, lo: int) -> None:
-        """Generate rows lo.. of A and B, resuming the parameter walk."""
-        raise NotImplementedError
-
     def _ensure(self, rounds: int) -> None:
         filled = self._B.size
         if rounds <= filled:
             return
-        n = max(rounds, 2 * filled, 64)
+        n = max(rounds, 2 * filled)
         A = np.empty((n, self.dim))
         B = np.empty(n)
         A[:filled] = self._A
         B[:filled] = self._B
         if filled == 0:
-            # the walk state after the last generated row: generator, unit
-            # direction and phase
+            # the walk state of the last generated row: generator, unit
+            # direction, phase and segment
             self._gen = spawn_rng_stream(self.seed, PARAM_STREAM_ID)
             self._u = _unit(self._gen.standard_normal(self.dim))
             self._b = float(self._gen.uniform(0.0, 2.0 * math.pi))
+            self._segment = 0
         self._extend(A, B, filled)
         self._A, self._B = A, B
+
+    def _extend(self, A: np.ndarray, B: np.ndarray, lo: int) -> None:
+        """Generate rows lo.. of A and B, resuming the walk at self._segment."""
+        # a zero step never moves the walk: one segment spans every row
+        L = self.segment_length if self.step > 0.0 else B.size
+        k0 = self._segment
+        seg = np.arange(lo, B.size) // L - k0  # each new row's segment, from k0
+        new = int(seg[-1])
+        # per new segment: dim normals for the direction step, then one for the phase
+        Z = self._gen.standard_normal((new, self.dim + 1))
+        U = np.empty((new + 1, self.dim))
+        U[0] = u = self._u
+        step = self.step / math.sqrt(self.dim)
+        for k, z in enumerate(Z[:, :-1], 1):
+            U[k] = u = _unit(u + step * z)
+        # the phase walk b_k = b_{k-1} + step * phi_k, accumulated in order
+        phases = np.add.accumulate(np.concatenate(([self._b], self.step * Z[:, -1])))
+        A[lo:] = (self.freq_scale * U)[seg]
+        B[lo:] = phases[seg]
+        self._u, self._b, self._segment = u, float(phases[-1]), k0 + new
 
     def params_upto(self, rounds: int):
         """Direction and phase arrays for rounds 1..rounds (rows 0..rounds-1)."""
@@ -331,111 +366,23 @@ class _SineStreamBase:
         )
 
     def spec(self) -> dict:
-        raise NotImplementedError
-
-
-class SineDriftStream(_SineStreamBase):
-    """Sine tasks whose direction and phase follow a slow random walk.
-
-    Per round, the unit direction moves by a Gaussian step of RMS size
-    drift_rate and is re-normalized; the phase takes a Gaussian step of std
-    drift_rate. drift_rate = 0 freezes both, giving a stationary stream.
-    """
-
-    kind = "drifting-sine"
-
-    def __init__(self, dim, amplitude, freq_scale, drift_rate, noise, seed):
-        super().__init__(dim, amplitude, freq_scale, noise, seed)
-        if not (math.isfinite(drift_rate) and drift_rate >= 0):
-            raise ConfigError(f"drift_rate must be finite and >= 0, got {drift_rate}")
-        self.drift_rate = float(drift_rate)
-
-    def _extend(self, A: np.ndarray, B: np.ndarray, lo: int) -> None:
-        n = B.size
-        if lo == 0:
-            A[0] = self.freq_scale * self._u
-            B[0] = self._b
-            lo = 1
-        if self.drift_rate == 0.0:
-            A[lo:] = A[0]
-            B[lo:] = B[0]
-            return
-        step = self.drift_rate / math.sqrt(self.dim)
-        # per row: dim normals for the direction step, then one for the phase
-        Z = self._gen.standard_normal((n - lo, self.dim + 1))
-        u = self._u
-        for t, z in zip(range(lo, n), Z[:, :-1]):
-            u = _unit(u + step * z)
-            A[t] = u
-        A[lo:] *= self.freq_scale
-        # the phase walk b_t = b_{t-1} + drift_rate * phi_t, accumulated in order
-        B[lo - 1 :] = np.add.accumulate(np.concatenate(([self._b], self.drift_rate * Z[:, -1])))
-        self._u, self._b = u, float(B[-1])
-
-    def spec(self) -> dict:
+        if self.kind == DRIFTING:
+            walk = {"drift_rate": self.step}
+        else:
+            walk = {"segment_length": self.segment_length, "jump_scale": self.step}
         return {
             "family": self.kind,
             "dim": self.dim,
             "amplitude": self.amplitude,
             "freq_scale": self.freq_scale,
-            "drift_rate": self.drift_rate,
+            **walk,
             "seed": self.seed,
         }
 
 
-class PiecewiseDriftStream(_SineStreamBase):
-    """Sine tasks constant within segments, jumping at segment boundaries.
-
-    Segment k >= 1 perturbs the previous segment's direction by a Gaussian
-    step of RMS size jump_scale (re-normalized) and its phase by a Gaussian
-    step of std jump_scale. jump_scale = 0, or a segment at least as long as
-    the horizon, yields a stationary stream.
-    """
-
-    kind = "piecewise-sine"
-
-    def __init__(self, dim, segment_length, jump_scale, amplitude, freq_scale, noise, seed):
-        super().__init__(dim, amplitude, freq_scale, noise, seed)
-        if not isinstance(segment_length, (int, np.integer)) or segment_length < 1:
-            raise ConfigError(
-                f"segment_length must be an integer >= 1, got {segment_length!r}"
-            )
-        if not (math.isfinite(jump_scale) and jump_scale >= 0):
-            raise ConfigError(f"jump_scale must be finite and >= 0, got {jump_scale}")
-        self.segment_length = int(segment_length)
-        self.jump_scale = float(jump_scale)
-        self._segment = 0  # the segment the walk state (_u, _b) belongs to
-
-    def _extend(self, A: np.ndarray, B: np.ndarray, lo: int) -> None:
-        n = B.size
-        L = self.segment_length
-        first, last = lo // L, (n - 1) // L
-        jumps = self.jump_scale > 0.0
-        if jumps:
-            # per new segment: dim normals for the direction, one for the phase
-            Z = iter(self._gen.standard_normal((last - self._segment, self.dim + 1)))
-        step = self.jump_scale / math.sqrt(self.dim)
-        for k in range(first, last + 1):
-            if k > self._segment:
-                if jumps:
-                    z = next(Z)
-                    self._u = _unit(self._u + step * z[:-1])
-                    self._b = self._b + self.jump_scale * float(z[-1])
-                self._segment = k
-            rows = slice(max(lo, k * L), min(n, (k + 1) * L))
-            A[rows] = self.freq_scale * self._u
-            B[rows] = self._b
-
-    def spec(self) -> dict:
-        return {
-            "family": self.kind,
-            "dim": self.dim,
-            "amplitude": self.amplitude,
-            "freq_scale": self.freq_scale,
-            "segment_length": self.segment_length,
-            "jump_scale": self.jump_scale,
-            "seed": self.seed,
-        }
+def _check_step(name: str, value: float) -> None:
+    if not (math.isfinite(value) and value >= 0):
+        raise ConfigError(f"{name} must be finite and >= 0, got {value}")
 
 
 def make_drifting_sine_stream(
@@ -445,11 +392,10 @@ def make_drifting_sine_stream(
     drift_rate: float = 0.05,
     noise: Optional[NoiseModel] = None,
     seed: int = 0,
-) -> SineDriftStream:
+) -> SineStream:
     """Sine stream whose parameters random-walk at rate drift_rate per round."""
-    if noise is None:
-        noise = NoiseModel(EXACT)
-    return SineDriftStream(dim, amplitude, freq_scale, drift_rate, noise, seed)
+    _check_step("drift_rate", drift_rate)
+    return SineStream(DRIFTING, dim, 1, drift_rate, amplitude, freq_scale, noise, seed)
 
 
 def make_piecewise_drift_stream(
@@ -460,10 +406,11 @@ def make_piecewise_drift_stream(
     freq_scale: float = 1.0,
     noise: Optional[NoiseModel] = None,
     seed: int = 0,
-) -> PiecewiseDriftStream:
+) -> SineStream:
     """Sine stream constant on segments with jumps of size jump_scale between them."""
-    if noise is None:
-        noise = NoiseModel(EXACT)
-    return PiecewiseDriftStream(
-        dim, segment_length, jump_scale, amplitude, freq_scale, noise, seed
+    if not isinstance(segment_length, (int, np.integer)) or segment_length < 1:
+        raise ConfigError(f"segment_length must be an integer >= 1, got {segment_length!r}")
+    _check_step("jump_scale", jump_scale)
+    return SineStream(
+        PIECEWISE, dim, segment_length, jump_scale, amplitude, freq_scale, noise, seed
     )

@@ -555,8 +555,7 @@ def test_criterion_11_deviation_exceedance_respects_the_confidence_level():
     )
 
     exceed = 0
-    for seed in range(n_runs):
-        trace = run_stream(stream, horizon, inner, opt, seed=seed)
+    for trace in run_streams([stream] * n_runs, horizon, inner, opt, range(n_runs)):
         worst = 0.0
         for t in range(1, horizon + 1):
             dev = trace.smoothed_grads[t - 1] - exact_smoothed_gradient(trace, t, w, alpha)

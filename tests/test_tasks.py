@@ -184,6 +184,9 @@ GROWTH_STREAMS = {
     "piecewise-still": lambda: make_piecewise_drift_stream(
         dim=3, segment_length=5, jump_scale=0.0, seed=1
     ),
+    "piecewise-one-round": lambda: make_piecewise_drift_stream(
+        dim=4, segment_length=1, jump_scale=0.1, seed=9
+    ),
 }
 
 
@@ -208,6 +211,39 @@ def test_streams_grow_in_place(family, monkeypatch):
     assert np.array_equal(A, A_grown)
     assert np.array_equal(B, B_grown)
     assert grown_calls == len(calls)
+
+
+def test_fresh_stream_generates_only_the_rows_read(monkeypatch):
+    # a 16-round read normalises the start direction and 15 steps, and
+    # generates no rows beyond the 16 it returns
+    calls = []
+    real_unit = tasks._unit
+    monkeypatch.setattr(tasks, "_unit", lambda v: calls.append(1) or real_unit(v))
+    A, B = make_drifting_sine_stream(dim=5, drift_rate=0.05, seed=0).params_upto(16)
+    assert len(calls) == 16
+    assert A.shape == (16, 5)
+
+
+@pytest.mark.parametrize("dim", [1, 4, 10, 40])
+def test_drifting_stream_is_the_one_round_piecewise_stream(dim):
+    for seed in (0, 3, 11):
+        for rate in (0.0, 0.05, 0.7):
+            drifting = make_drifting_sine_stream(dim=dim, drift_rate=rate, seed=seed)
+            piecewise = make_piecewise_drift_stream(
+                dim=dim, segment_length=1, jump_scale=rate, seed=seed
+            )
+            A, B = drifting.params_upto(300)
+            A_pw, B_pw = piecewise.params_upto(300)
+            assert np.array_equal(A, A_pw)
+            assert np.array_equal(B, B_pw)
+
+
+@pytest.mark.parametrize("seed", [2.7, True, -1, 1 << 64])
+def test_stream_seed_is_checked_at_construction(seed):
+    with pytest.raises(ConfigError, match="seed"):
+        make_drifting_sine_stream(dim=3, seed=seed)
+    with pytest.raises(ConfigError, match="seed"):
+        make_piecewise_drift_stream(dim=3, segment_length=4, jump_scale=0.1, seed=seed)
 
 
 def test_drifting_stream_zero_rate_is_stationary():
