@@ -178,13 +178,7 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_verify_lemmas(args) -> int:
-    cfg_sets = args.set or ()
-    if args.config is not None or cfg_sets:
-        # validate eagerly so a broken config still exits 2 here
-        load_config(args.config, cfg_sets)
-    out_dir_env = os.environ.get("DYNREG_OUT")
-    out = Path(out_dir_env or args.out or "dynreg-out")
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args.out, load_config(args.config, args.set or ()))
     results = run_checks(args.preset, corrupt=args.self_test_corrupt)
     artifact = {
         "preset": args.preset,

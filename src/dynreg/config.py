@@ -17,14 +17,23 @@ from typing import Optional
 
 import numpy as np
 
-from .meta import InnerAdaptConfig
-from .numerics import ConfigError
-from .optimizer import OptimizerConfig, make_config_adagrad, make_config_adam
-from .regret import THEOREMS
+from .meta import THETA_RANGE, InnerAdaptConfig
+from .numerics import ConfigError, _check_key_part, check_int, check_real
+from .optimizer import (
+    ALPHA_RANGE,
+    BETA1_RANGE,
+    BETA2_RANGE,
+    OptimizerConfig,
+    make_config_adagrad,
+    make_config_adam,
+)
+from .regret import DELTA_RANGE, THEOREMS
 from .tasks import (
     EXACT,
     GAUSSIAN,
     SUBGAUSSIAN,
+    SIGMA_RANGE,
+    STEP_RANGE,
     NoiseModel,
     make_drifting_sine_stream,
     make_piecewise_drift_stream,
@@ -112,145 +121,106 @@ def _set_path(cfg: dict, dotted: str, value, errors: list) -> None:
     node[leaf] = value
 
 
-def _is_int(v) -> bool:
-    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
-
-
-def _is_num(v) -> bool:
-    return (_is_int(v) or isinstance(v, float)) and math.isfinite(float(v))
+# Each key checked by the library's rule for its parameter, named by its
+# dotted path: check_int, the seed rule, or check_real over the interval the
+# library states (none: the positive reals, check_real's default).
+# window_fraction is the loader's own key. The keys in _NULLABLE may be null.
+_KEY_RULES = (
+    ("horizon", check_int),
+    ("dim", check_int),
+    ("delta", check_real, DELTA_RANGE),
+    ("stream.amplitude", check_real),
+    ("stream.freq_scale", check_real),
+    ("stream.drift_rate", check_real, STEP_RANGE),
+    ("stream.segment_length", check_int),
+    ("stream.jump_scale", check_real, STEP_RANGE),
+    ("stream.seed", _check_key_part),
+    ("noise.sigma", check_real, SIGMA_RANGE),
+    ("noise.kappa", check_real),
+    ("adapt.theta", check_real, THETA_RANGE),
+    ("adapt.train_batch", check_int),
+    ("optimizer.eta", check_real),
+    ("optimizer.epsilon", check_real),
+    ("optimizer.beta1", check_real, BETA1_RANGE),
+    ("optimizer.beta2", check_real, BETA2_RANGE),
+    ("optimizer.varsigma", check_real),
+    ("smoothing.alpha", check_real, ALPHA_RANGE),
+    ("smoothing.window", check_int),
+    ("smoothing.window_fraction", check_real, (0.0, 1.0, "(]")),
+)
+_NULLABLE = {
+    "stream.seed", "noise.kappa", "optimizer.varsigma", "smoothing.window",
+    "smoothing.window_fraction",
+}
 
 
 def _validate(cfg: dict) -> list:
+    """Every error in cfg, each naming its key and value."""
     e: list = []
 
-    def need(cond, msg):
-        if not cond:
-            e.append(msg)
+    def check(key, value, rule, *args):
+        """rule(key, value, *args), or None with its error recorded."""
+        try:
+            return rule(key, value, *args)
+        except ConfigError as exc:
+            e.append(str(exc))
 
-    need(_is_int(cfg["horizon"]) and cfg["horizon"] >= 1, "horizon: must be an integer >= 1")
-    need(_is_int(cfg["dim"]) and cfg["dim"] >= 1, "dim: must be an integer >= 1")
-    need(
-        _is_num(cfg["delta"]) and 0.0 < cfg["delta"] < 1.0,
-        "delta: must be a number in (0, 1)",
-    )
+    ok = {}  # the checked value of each key that passed its rule
+    for key, rule, *args in _KEY_RULES:
+        section, _, leaf = key.rpartition(".")
+        value = (cfg[section] if section else cfg)[leaf]
+        if value is not None or key not in _NULLABLE:
+            ok[key] = check(key, value, rule, *args)
+
     seeds = cfg["seeds"]
-    need(
-        isinstance(seeds, list) and seeds and all(_is_int(s) and s >= 0 for s in seeds),
-        "seeds: must be a non-empty list of integers >= 0",
-    )
-    need(
-        cfg["out_dir"] is None or isinstance(cfg["out_dir"], str),
-        "out_dir: must be a string or null",
-    )
+    if isinstance(seeds, list) and seeds:
+        for i, seed in enumerate(seeds):
+            check(f"seeds[{i}]", seed, _check_key_part)
+    else:
+        e.append(f"seeds must be a non-empty list of seeds, got {seeds!r}")
+    if not (cfg["out_dir"] is None or isinstance(cfg["out_dir"], str)):
+        e.append(f"out_dir must be a string or null, got {cfg['out_dir']!r}")
     bounds = cfg["bounds"]
     if bounds is not None:
         if not isinstance(bounds, list) or not bounds:
-            e.append("bounds: must be null or a non-empty list of theorem ids")
+            e.append(f"bounds must be null or a non-empty list of theorem ids, got {bounds!r}")
         else:
             for b in bounds:
                 if b not in THEOREMS:
-                    e.append(f"bounds: unknown theorem id {b!r}; expected one of {THEOREMS}")
+                    e.append(f"bounds must name ids in {THEOREMS}, got unknown theorem id {b!r}")
     init = cfg["init"]
     if init is not None:
-        ok = isinstance(init, list) and init and all(_is_num(v) for v in init)
-        need(ok, "init: must be null or a list of finite numbers")
-        if ok and _is_int(cfg["dim"]) and len(init) != cfg["dim"]:
-            e.append(f"init: length {len(init)} does not match dim {cfg['dim']}")
+        if not isinstance(init, list) or not init:
+            e.append(f"init must be null or a non-empty list of finite numbers, got {init!r}")
+        else:
+            for i, v in enumerate(init):
+                check(f"init[{i}]", v, check_real, (-math.inf, math.inf, "()"))
+            if ok["dim"] is not None and len(init) != ok["dim"]:
+                e.append(f"init must have dim = {ok['dim']} entries, got {len(init)}")
 
-    st = cfg["stream"]
-    need(
-        st["family"] in ("drifting-sine", "piecewise-sine"),
-        "stream.family: must be 'drifting-sine' or 'piecewise-sine'",
-    )
-    need(
-        _is_num(st["amplitude"]) and st["amplitude"] > 0,
-        "stream.amplitude: must be a positive number",
-    )
-    need(
-        _is_num(st["freq_scale"]) and st["freq_scale"] > 0,
-        "stream.freq_scale: must be a positive number",
-    )
-    need(
-        _is_num(st["drift_rate"]) and st["drift_rate"] >= 0,
-        "stream.drift_rate: must be a number >= 0",
-    )
-    need(
-        _is_int(st["segment_length"]) and st["segment_length"] >= 1,
-        "stream.segment_length: must be an integer >= 1",
-    )
-    need(
-        _is_num(st["jump_scale"]) and st["jump_scale"] >= 0,
-        "stream.jump_scale: must be a number >= 0",
-    )
-    need(
-        st["seed"] is None or (_is_int(st["seed"]) and st["seed"] >= 0),
-        "stream.seed: must be null or an integer >= 0",
-    )
-
-    no = cfg["noise"]
-    need(
-        no["kind"] in (EXACT, GAUSSIAN, SUBGAUSSIAN),
-        f"noise.kind: must be one of {(EXACT, GAUSSIAN, SUBGAUSSIAN)}",
-    )
-    need(_is_num(no["sigma"]) and no["sigma"] >= 0, "noise.sigma: must be a number >= 0")
-    if no["kind"] == EXACT and _is_num(no["sigma"]) and no["sigma"] != 0:
-        e.append("noise.sigma: must be 0 for exact noise")
-    if no["kind"] != EXACT and _is_num(no["sigma"]) and no["sigma"] == 0:
-        e.append(f"noise.sigma: must be > 0 for {no['kind']} noise")
-    need(
-        no["kappa"] is None or (_is_num(no["kappa"]) and no["kappa"] > 0),
-        "noise.kappa: must be null or a positive number",
-    )
-
-    ad = cfg["adapt"]
-    need(_is_num(ad["theta"]) and ad["theta"] >= 0, "adapt.theta: must be a number >= 0")
-    need(
-        _is_int(ad["train_batch"]) and ad["train_batch"] >= 1,
-        "adapt.train_batch: must be an integer >= 1",
-    )
-
-    op = cfg["optimizer"]
-    need(
-        op["preset"] in ("adagrad", "adam"),
-        "optimizer.preset: must be 'adagrad' or 'adam'",
-    )
-    need(_is_num(op["eta"]) and op["eta"] > 0, "optimizer.eta: must be a positive number")
-    need(
-        _is_num(op["epsilon"]) and op["epsilon"] > 0,
-        "optimizer.epsilon: must be a positive number",
-    )
-    need(
-        _is_num(op["beta1"]) and 0 <= op["beta1"] < 1,
-        "optimizer.beta1: must be a number in [0, 1)",
-    )
-    need(
-        _is_num(op["beta2"]) and 0 < op["beta2"] <= 1,
-        "optimizer.beta2: must be a number in (0, 1]",
-    )
-    if op["preset"] == "adam":
-        if not (_is_num(op["beta1"]) and _is_num(op["beta2"]) and 0 < op["beta1"] < op["beta2"] < 1):
-            e.append("optimizer.beta1/beta2: adam preset needs 0 < beta1 < beta2 < 1")
-    need(
-        op["varsigma"] is None or (_is_num(op["varsigma"]) and op["varsigma"] > 0),
-        "optimizer.varsigma: must be null or a positive number",
-    )
-
-    sm = cfg["smoothing"]
-    need(
-        _is_num(sm["alpha"]) and 0 < sm["alpha"] <= 1,
-        "smoothing.alpha: must be a number in (0, 1]",
-    )
-    w, frac = sm["window"], sm["window_fraction"]
+    for key, names in (
+        ("stream.family", ("drifting-sine", "piecewise-sine")),
+        ("noise.kind", (EXACT, GAUSSIAN, SUBGAUSSIAN)),
+        ("optimizer.preset", ("adagrad", "adam")),
+    ):
+        section, _, leaf = key.rpartition(".")
+        if cfg[section][leaf] not in names:
+            e.append(f"{key} must be one of {names}, got {cfg[section][leaf]!r}")
+    sigma, kind = ok["noise.sigma"], cfg["noise"]["kind"]
+    if sigma is not None and (kind == EXACT) != (sigma == 0.0):
+        need = "0 for exact noise" if kind == EXACT else f"> 0 for {kind} noise"
+        e.append(f"noise.sigma must be {need}, got {sigma!r}")
+    b1, b2 = ok["optimizer.beta1"], ok["optimizer.beta2"]
+    if cfg["optimizer"]["preset"] == "adam" and None not in (b1, b2) and not 0 < b1 < b2 < 1:
+        e.append(
+            "optimizer.beta1/beta2: adam preset needs 0 < beta1 < beta2 < 1, "
+            f"got {b1!r} and {b2!r}"
+        )
+    w, frac = cfg["smoothing"]["window"], cfg["smoothing"]["window_fraction"]
     if (w is None) == (frac is None):
         e.append(
-            "smoothing.window / smoothing.window_fraction: exactly one must be set"
-        )
-    if w is not None:
-        need(_is_int(w) and w >= 1, "smoothing.window: must be an integer >= 1")
-    if frac is not None:
-        need(
-            _is_num(frac) and 0 < frac <= 1,
-            "smoothing.window_fraction: must be a number in (0, 1]",
+            "smoothing.window / smoothing.window_fraction: exactly one must be set, "
+            f"got {w!r} and {frac!r}"
         )
     return e
 
@@ -369,7 +339,6 @@ class ExperimentConfig:
         """Fully resolved config (window fraction resolved) for artifacts."""
         snap = copy.deepcopy(self.raw)
         snap["smoothing"]["window"] = self.window()
-        snap["smoothing"]["window_fraction"] = self.raw["smoothing"]["window_fraction"]
         if seed is not None:
             snap["run_seed"] = int(seed)
         return snap

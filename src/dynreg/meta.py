@@ -21,12 +21,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .numerics import (
+    NON_NEGATIVE,
     ConfigError,
     DimensionError,
     NumericError,
     RngStream,
     _check_key_part,
     as_vector,
+    check_int,
+    check_real,
     spawn_rng_stream,
 )
 from .optimizer import (
@@ -54,6 +57,10 @@ __all__ = [
     "run_streams",
 ]
 
+# check_real's range of the inner step size; the config loader and the
+# guarantee calculator check theta against it too
+THETA_RANGE = NON_NEGATIVE
+
 
 @dataclass(frozen=True)
 class InnerAdaptConfig:
@@ -69,11 +76,8 @@ class InnerAdaptConfig:
     train_batch: int = 32
 
     def __post_init__(self):
-        if not (math.isfinite(self.theta) and self.theta >= 0):
-            raise ConfigError(f"theta must be finite and >= 0, got {self.theta}")
-        tb = self.train_batch
-        if not isinstance(tb, (int, np.integer)) or tb < 1:
-            raise ConfigError(f"train_batch must be an integer >= 1, got {tb!r}")
+        check_real("theta", self.theta, THETA_RANGE)
+        check_int("train_batch", self.train_batch)
 
 
 class RoundLoss:
@@ -333,9 +337,7 @@ def run_streams(
                 "the runs of a batch share dim, amplitude and noise; got "
                 f"{shared} beside {(first.dim, first.amplitude, first.noise)}"
             )
-    if not isinstance(horizon, (int, np.integer)) or horizon < 1:
-        raise ConfigError(f"horizon must be an integer >= 1, got {horizon!r}")
-    horizon = int(horizon)
+    horizon = check_int("horizon", horizon)
     if x0 is None:
         x0 = np.zeros(first.dim)
     x0 = as_vector(x0, "x0")

@@ -16,6 +16,8 @@ __all__ = [
     "NumericError",
     "VerificationError",
     "as_vector",
+    "check_int",
+    "check_real",
     "geometric_sum",
     "RngStream",
     "spawn_rng_stream",
@@ -66,15 +68,51 @@ def geometric_sum(log_ratio: float, n: int) -> float:
     return math.expm1(n * log_ratio) / math.expm1(log_ratio)
 
 
+def check_int(name: str, value, low: int = 1) -> int:
+    """value as an int: an integer (not a bool) >= low, else a ConfigError."""
+    # type() is int for a plain int, the common case, and never for a bool
+    if type(value) is int or (isinstance(value, (int, np.integer)) and not isinstance(value, bool)):
+        if value >= low:
+            return int(value)
+    raise ConfigError(f"{name} must be an integer >= {low}, got {value!r}")
+
+
+# check_real's intervals (low, high, ends): ends says which end is open,
+# "(" or ")", and which closed, "[" or "]"
+POSITIVE = (0.0, math.inf, "()")
+NON_NEGATIVE = (0.0, math.inf, "[)")
+
+
+def check_real(name: str, value, interval: tuple = POSITIVE) -> float:
+    """value as a float: a real number (not a bool) in the interval, else a
+    ConfigError.
+
+    The test is by comparison alone, so nan fails it, and an open infinite
+    end rejects that infinity.
+    """
+    low, high, ends = interval
+    x = math.nan  # fails every comparison
+    if type(value) is float:  # the common case
+        x = value
+    elif isinstance(value, (float, int, np.floating, np.integer)) and not isinstance(value, bool):
+        try:
+            x = float(value)
+        except OverflowError:  # an integer beyond the float range
+            pass
+    if (low < x or (ends[0] == "[" and x == low)) and (x < high or (ends[1] == "]" and x == high)):
+        return x
+    raise ConfigError(f"{name} must be in {ends[0]}{low:g}, {high:g}{ends[1]}, got {value!r}")
+
+
 _UINT64_SPAN = 1 << 64
 
 
 def _check_key_part(name: str, value) -> int:
-    if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
-        raise ConfigError(f"{name} must be an integer, got {value!r}")
-    if not (0 <= int(value) < _UINT64_SPAN):
-        raise ConfigError(f"{name} must be in [0, 2^64), got {value}")
-    return int(value)
+    """A seed or stream id: an integer in [0, 2^64)."""
+    value = check_int(name, value, low=0)
+    if value >= _UINT64_SPAN:
+        raise ConfigError(f"{name} must be below 2^64, got {value!r}")
+    return value
 
 
 class RngStream:
@@ -130,9 +168,6 @@ class RngStream:
 
     def uniform(self, low: float = 0.0, high: float = 1.0, size=None):
         return self._gen.uniform(low, high, size)
-
-    def integers(self, low: int, high: int, size=None):
-        return self._gen.integers(low, high, size=size)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging nicety
         return f"RngStream(seed={self.seed}, stream_id={self.stream_id})"

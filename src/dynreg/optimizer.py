@@ -28,6 +28,8 @@ from .numerics import (
     NumericError,
     RngStream,
     as_vector,
+    check_int,
+    check_real,
     geometric_sum,
 )
 from .tasks import NoiseModel
@@ -52,6 +54,12 @@ CONSTANT = "constant"
 ADAM_SCHEDULE = "adam"
 _SCHEDULES = (CONSTANT, ADAM_SCHEDULE)
 
+# check_real's ranges of the discount and the moment rates; eta and epsilon
+# are positive, check_real's default. The config loader checks its keys
+# against the same ranges.
+ALPHA_RANGE = BETA2_RANGE = (0.0, 1.0, "(]")
+BETA1_RANGE = (0.0, 1.0, "[)")
+
 
 @dataclass(frozen=True)
 class OptimizerConfig:
@@ -66,14 +74,12 @@ class OptimizerConfig:
     alpha: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.eta) and self.eta > 0):
-            raise ConfigError(f"eta must be positive and finite, got {self.eta}")
-        if not (math.isfinite(self.epsilon) and self.epsilon > 0):
-            raise ConfigError(f"epsilon must be positive and finite, got {self.epsilon}")
-        if not (0.0 <= self.beta1 < self.beta2 <= 1.0):
-            raise ConfigError(
-                f"need 0 <= beta1 < beta2 <= 1, got beta1={self.beta1}, beta2={self.beta2}"
-            )
+        check_real("eta", self.eta)
+        check_real("epsilon", self.epsilon)
+        check_real("beta1", self.beta1, BETA1_RANGE)
+        check_real("beta2", self.beta2, BETA2_RANGE)
+        if not self.beta1 < self.beta2:
+            raise ConfigError(f"need beta1 < beta2, got beta1={self.beta1}, beta2={self.beta2}")
         if self.schedule not in _SCHEDULES:
             raise ConfigError(f"schedule must be one of {_SCHEDULES}, got {self.schedule!r}")
         if self.schedule == ADAM_SCHEDULE and not (0.0 < self.beta1 < self.beta2 < 1.0):
@@ -81,7 +87,8 @@ class OptimizerConfig:
                 "the increasing-step schedule requires 0 < beta1 < beta2 < 1, "
                 f"got beta1={self.beta1}, beta2={self.beta2}"
             )
-        _check_window(self.window, self.alpha)
+        # make_config_* pass the window through; store it as an int
+        object.__setattr__(self, "window", _check_window(self.window, self.alpha))
 
 
 def make_config_adagrad(
@@ -90,7 +97,7 @@ def make_config_adagrad(
     """Accumulating preset: beta1 = 0, beta2 = 1, constant step size."""
     return OptimizerConfig(
         eta=eta, beta1=0.0, beta2=1.0, epsilon=epsilon,
-        schedule=CONSTANT, window=int(window), alpha=alpha,
+        schedule=CONSTANT, window=window, alpha=alpha,
     )
 
 
@@ -105,7 +112,7 @@ def make_config_adam(
     """Momentum preset with the increasing step-size schedule."""
     return OptimizerConfig(
         eta=eta, beta1=beta1, beta2=beta2, epsilon=epsilon,
-        schedule=ADAM_SCHEDULE, window=int(window), alpha=alpha,
+        schedule=ADAM_SCHEDULE, window=window, alpha=alpha,
     )
 
 
@@ -122,32 +129,28 @@ class OptimizerState:
             raise DimensionError(
                 f"m and v must be 1-D with equal shape, got {self.m.shape} and {self.v.shape}"
             )
-        if self.t < 1:
-            raise ConfigError(f"round counter starts at 1, got {self.t}")
+        check_int("t", self.t)
         if np.any(self.v < 0):
             raise ConfigError("v must be coordinate-wise non-negative")
 
 
 def make_state(dim: int) -> OptimizerState:
     """Fresh state: zero moments, round counter 1."""
-    if dim < 1:
-        raise ConfigError(f"dim must be >= 1, got {dim}")
+    dim = check_int("dim", dim)
     return OptimizerState(m=np.zeros(dim), v=np.zeros(dim), t=1)
 
 
-def _check_window(window, alpha: Optional[float] = None) -> None:
-    """A window length must be an integer >= 1 and a discount, when given,
-    must be in (0, 1]."""
-    if not isinstance(window, (int, np.integer)) or window < 1:
-        raise ConfigError(f"window must be an integer >= 1, got {window!r}")
-    if alpha is not None and not (0.0 < alpha <= 1.0):
-        raise ConfigError(f"alpha must be in (0, 1], got {alpha}")
+def _check_window(window, alpha) -> int:
+    """The window length as an int, after checking that it is an integer
+    >= 1 and that its discount alpha is in (0, 1]."""
+    check_real("alpha", alpha, ALPHA_RANGE)
+    return check_int("window", window)
 
 
 def weight_sum_W(alpha: float, window: int) -> float:
     """W = sum_{r=0}^{w-1} alpha^r, accurate as alpha -> 1 and exactly w at 1."""
-    _check_window(window, alpha)
-    return geometric_sum(math.log(alpha), int(window))
+    window = _check_window(window, alpha)
+    return geometric_sum(math.log(alpha), window)
 
 
 def alpha_weights(alpha: float, window: int) -> np.ndarray:
@@ -260,13 +263,10 @@ def step_size_at(config: OptimizerConfig, t: int) -> float:
     eta (1-beta1) sqrt((1-beta2^(t+1)) / (1-beta2)), which is exactly
     eta (1-beta1) at t = 0.
     """
-    if not isinstance(t, (int, np.integer)) or t < 0:
-        raise ConfigError(f"t must be an integer >= 0, got {t!r}")
+    t = check_int("t", t, low=0)
     if config.schedule == CONSTANT:
         return config.eta
-    if config.beta2 >= 1.0:
-        raise ConfigError("the increasing-step schedule requires beta2 < 1")
-    num = 1.0 - config.beta2 ** (int(t) + 1)
+    num = 1.0 - config.beta2 ** (t + 1)
     return config.eta * (1.0 - config.beta1) * math.sqrt(num / (1.0 - config.beta2))
 
 

@@ -25,8 +25,8 @@ from typing import Optional
 
 import numpy as np
 
-from .meta import RunTrace
-from .numerics import ConfigError, NumericError, geometric_sum
+from .meta import THETA_RANGE, RunTrace
+from .numerics import ConfigError, NumericError, check_int, check_real, geometric_sum
 from .optimizer import (
     ADAM_SCHEDULE,
     CONSTANT,
@@ -64,6 +64,11 @@ THEOREMS = (
     "adam-highprob",
 )
 
+# check_real's range of the confidence level delta; varsigma is positive,
+# check_real's default. The config loader checks its keys against the same
+# ranges.
+DELTA_RANGE = (0.0, 1.0, "()")
+
 
 @dataclass(frozen=True, eq=False)
 class RegretLedger:
@@ -83,10 +88,10 @@ class RegretLedger:
 
 def exact_smoothed_gradient(trace: RunTrace, t: int, w: int, alpha: float) -> np.ndarray:
     """The noiseless weighted window average of recorded gradients at round t."""
-    _check_window(w, alpha)
-    if not (1 <= t <= trace.horizon):
-        raise ConfigError(f"t must be in [1, {trace.horizon}], got {t}")
-    occ = min(int(t), int(w))
+    w = _check_window(w, alpha)
+    if check_int("t", t) > trace.horizon:
+        raise ConfigError(f"t must be at most the horizon {trace.horizon}, got {t}")
+    occ = min(t, w)
     W = weight_sum_W(alpha, w)
     rows = trace.grads[t - occ : t][::-1]  # newest first
     return _weighted_row_sum(alpha, alpha_weights(alpha, w), rows) / W
@@ -103,7 +108,7 @@ def dlr_cumulative(trace: RunTrace, w: int, alpha: float) -> RegretLedger:
 
 def slr_cumulative(trace: RunTrace, w: int) -> RegretLedger:
     """Static local regret ledger: past losses re-evaluated at the current iterate."""
-    _check_window(w)
+    check_int("window", w)
     stream = trace.stream
     if stream is None:
         raise ConfigError("trace has no stream attached; cannot rebuild round losses")
@@ -194,8 +199,7 @@ def effective_constants(constants: LossConstants, theta: float) -> EffectiveCons
 
 def _effective(constants: LossConstants, theta: float) -> tuple[float, float]:
     """(L', gamma'); the guarantee calculator skips building the dataclass."""
-    if not (math.isfinite(theta) and theta >= 0):
-        raise ConfigError(f"theta must be finite and >= 0, got {theta}")
+    theta = check_real("theta", theta, THETA_RANGE)
     expand = 1.0 + theta * constants.gamma
     return expand * constants.L, theta * constants.L * constants.H + expand * expand * constants.gamma
 
@@ -248,8 +252,7 @@ def variance_proxy(
     mubar = None
     kappa = noise.kappa if dim is None else noise.kappa_for(dim)
     if delta is not None:
-        if not (0.0 < delta < 1.0):
-            raise ConfigError(f"delta must be in (0, 1), got {delta}")
+        check_real("delta", delta, DELTA_RANGE)
         if kappa is not None:
             log_inv = math.log(1.0 / delta)
             kappa2 = _power(kappa, 2)
@@ -346,16 +349,12 @@ def _bound(kind, highprob, opt, noise, constants, theta, horizon, dim, delta, va
             )
     else:
         raise ConfigError(f"theorem kind must be '{ADAGRAD}' or '{ADAM}', got {kind!r}")
-    if not isinstance(horizon, (int, np.integer)) or horizon < 1:
-        raise ConfigError(f"horizon must be an integer >= 1, got {horizon!r}")
-    if not isinstance(dim, (int, np.integer)) or dim < 1:
-        raise ConfigError(f"dim must be an integer >= 1, got {dim!r}")
-    if not (0.0 < delta < 1.0):
-        raise ConfigError(f"delta must be in (0, 1), got {delta}")
+    T = check_int("horizon", horizon)
+    d = check_int("dim", dim)
+    delta = check_real("delta", delta, DELTA_RANGE)
     Lp, gp = _effective(constants, theta)  # also validates theta
-    T, d = int(horizon), int(dim)
     inputs = {
-        "T": T, "dim": d, "delta": float(delta),
+        "T": T, "dim": d, "delta": delta,
         "eta": opt.eta, "beta1": opt.beta1, "beta2": opt.beta2, "epsilon": opt.epsilon,
         "alpha": opt.alpha, "w": opt.window, "sigma": float(noise.sigma), "theta": float(theta),
         "D": constants.D, "L": constants.L, "gamma": constants.gamma, "H": constants.H,
@@ -370,13 +369,15 @@ def _bound(kind, highprob, opt, noise, constants, theta, horizon, dim, delta, va
             )
         inputs["kappa"] = kappa
     if kind == ADAM:
-        vs = math.sqrt(1.0 - opt.beta2) if varsigma is None else float(varsigma)
-        if not (math.isfinite(vs) and vs > 0):
-            raise ConfigError(f"varsigma must be positive and finite, got {vs}")
+        vs = math.sqrt(1.0 - opt.beta2)
+        if varsigma is not None:
+            vs = check_real("varsigma", varsigma)
         inputs["varsigma"] = vs
+    # W of the validated optimizer config, without weight_sum_W's checks
+    W = geometric_sum(math.log(opt.alpha), opt.window)
     reals = (
-        weight_sum_W(opt.alpha, opt.window), constants.D, Lp, gp, opt.eta,
-        opt.epsilon, opt.beta1, opt.beta2, float(delta), float(noise.sigma), kappa, vs,
+        W, constants.D, Lp, gp, opt.eta,
+        opt.epsilon, opt.beta1, opt.beta2, delta, float(noise.sigma), kappa, vs,
     )
     try:
         derived, rhs, warnings = _guarantee(kind, highprob, T, d, *reals)

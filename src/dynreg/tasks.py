@@ -23,7 +23,16 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .numerics import ConfigError, NumericError, RngStream, _check_key_part, spawn_rng_stream
+from .numerics import (
+    NON_NEGATIVE,
+    ConfigError,
+    NumericError,
+    RngStream,
+    _check_key_part,
+    check_int,
+    check_real,
+    spawn_rng_stream,
+)
 
 __all__ = [
     "EXACT",
@@ -49,6 +58,11 @@ _KINDS = (EXACT, GAUSSIAN, SUBGAUSSIAN)
 # Stream id reserved for drawing task parameters; rounds use ids 1..T.
 PARAM_STREAM_ID = 0
 
+# check_real's ranges of the walk steps and of sigma; the other real
+# parameters here are positive, check_real's default. The config loader
+# checks its keys against the same ranges.
+STEP_RANGE = SIGMA_RANGE = NON_NEGATIVE
+
 
 @dataclass(frozen=True)
 class LossConstants:
@@ -65,17 +79,13 @@ class LossConstants:
 
     def __post_init__(self):
         for name in ("D", "L", "gamma", "H"):
-            val = getattr(self, name)
-            if not (math.isfinite(val) and val >= 0):
-                raise ConfigError(f"constant {name} must be finite and >= 0, got {val}")
+            check_real(f"constant {name}", getattr(self, name), NON_NEGATIVE)
 
 
 def loss_constants(amplitude: float, freq_scale: float) -> LossConstants:
     """Constants of the sine family D*sin(<a,x>+b) with ||a|| = freq_scale."""
-    if not (math.isfinite(amplitude) and amplitude > 0):
-        raise ConfigError(f"amplitude must be positive and finite, got {amplitude}")
-    if not (math.isfinite(freq_scale) and freq_scale > 0):
-        raise ConfigError(f"frequency scale must be positive and finite, got {freq_scale}")
+    amplitude = check_real("amplitude", amplitude)
+    freq_scale = check_real("freq_scale", freq_scale)
     return LossConstants(
         D=amplitude,
         L=amplitude * freq_scale,
@@ -101,11 +111,8 @@ def sub_gaussian_scale(sigma: float, dim: int) -> float:
     the moment generating function is (1 - 2 sigma^2/(d kappa^2))^(-d/2);
     kappa^2 = 2 sigma^2 / (d (1 - e^(-2/d))) makes it exactly e.
     """
-    if not (math.isfinite(sigma) and sigma > 0):
-        raise ConfigError(f"sigma must be positive to derive kappa, got {sigma}")
-    if dim < 1:
-        raise ConfigError(f"dim must be >= 1, got {dim}")
-    d = float(dim)
+    d = float(check_int("dim", dim))
+    sigma = check_real("sigma", sigma)
     return sigma * math.sqrt(2.0 / (d * (1.0 - math.exp(-2.0 / d))))
 
 
@@ -126,14 +133,13 @@ class NoiseModel:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ConfigError(f"noise kind must be one of {_KINDS}, got {self.kind!r}")
-        if not math.isfinite(self.sigma) or self.sigma < 0:
-            raise ConfigError(f"sigma must be finite and >= 0, got {self.sigma}")
+        check_real("sigma", self.sigma, SIGMA_RANGE)
         if self.kind == EXACT and self.sigma != 0.0:
             raise ConfigError("exact noise requires sigma = 0")
         if self.kind != EXACT and self.sigma == 0.0:
             raise ConfigError(f"{self.kind} noise requires sigma > 0")
-        if self.kappa is not None and not (math.isfinite(self.kappa) and self.kappa > 0):
-            raise ConfigError(f"kappa must be positive and finite, got {self.kappa}")
+        if self.kappa is not None:
+            check_real("kappa", self.kappa)
 
     @property
     def is_exact(self) -> bool:
@@ -284,22 +290,19 @@ class SineStream:
     """
 
     def __init__(self, family, dim, segment_length, step, amplitude, freq_scale, noise, seed):
-        if not isinstance(dim, (int, np.integer)) or dim < 1:
-            raise ConfigError(f"dim must be an integer >= 1, got {dim!r}")
         if noise is None:
             noise = NoiseModel(EXACT)
         if not isinstance(noise, NoiseModel):
             raise ConfigError("noise must be a NoiseModel")
         self.kind = family
-        self.dim = int(dim)
+        self.dim = check_int("dim", dim)
         self.segment_length = int(segment_length)
         self.step = float(step)
+        self._constants = loss_constants(amplitude, freq_scale)  # checks both
         self.amplitude = float(amplitude)
         self.freq_scale = float(freq_scale)
         self.noise = noise
         self.seed = _check_key_part("seed", seed)
-        # constants() validates amplitude/freq_scale ranges
-        self._constants = loss_constants(self.amplitude, self.freq_scale)
         self._A = np.empty((0, self.dim))
         self._B = np.empty(0)
 
@@ -347,18 +350,15 @@ class SineStream:
 
     def params_upto(self, rounds: int):
         """Direction and phase arrays for rounds 1..rounds (rows 0..rounds-1)."""
-        if not isinstance(rounds, (int, np.integer)) or rounds < 1:
-            raise ConfigError(f"rounds must be an integer >= 1, got {rounds!r}")
-        self._ensure(int(rounds))
+        self._ensure(check_int("rounds", rounds))
         return self._A[:rounds], self._B[:rounds]
 
     def task(self, t: int) -> TaskRound:
         """The round-t loss (t >= 1)."""
-        if not isinstance(t, (int, np.integer)) or t < 1:
-            raise ConfigError(f"round index must be an integer >= 1, got {t!r}")
-        self._ensure(int(t))
+        t = check_int("t", t)
+        self._ensure(t)
         return make_sine_task(
-            index=int(t),
+            index=t,
             amplitude=self.amplitude,
             freq=self._A[t - 1],
             phase=self._B[t - 1],
@@ -380,11 +380,6 @@ class SineStream:
         }
 
 
-def _check_step(name: str, value: float) -> None:
-    if not (math.isfinite(value) and value >= 0):
-        raise ConfigError(f"{name} must be finite and >= 0, got {value}")
-
-
 def make_drifting_sine_stream(
     dim: int,
     amplitude: float = 1.0,
@@ -394,7 +389,7 @@ def make_drifting_sine_stream(
     seed: int = 0,
 ) -> SineStream:
     """Sine stream whose parameters random-walk at rate drift_rate per round."""
-    _check_step("drift_rate", drift_rate)
+    check_real("drift_rate", drift_rate, STEP_RANGE)
     return SineStream(DRIFTING, dim, 1, drift_rate, amplitude, freq_scale, noise, seed)
 
 
@@ -408,9 +403,8 @@ def make_piecewise_drift_stream(
     seed: int = 0,
 ) -> SineStream:
     """Sine stream constant on segments with jumps of size jump_scale between them."""
-    if not isinstance(segment_length, (int, np.integer)) or segment_length < 1:
-        raise ConfigError(f"segment_length must be an integer >= 1, got {segment_length!r}")
-    _check_step("jump_scale", jump_scale)
+    check_int("segment_length", segment_length)
+    check_real("jump_scale", jump_scale, STEP_RANGE)
     return SineStream(
         PIECEWISE, dim, segment_length, jump_scale, amplitude, freq_scale, noise, seed
     )

@@ -148,7 +148,7 @@ def test_criterion_06_composite_constants_dominate_empirical_ratios():
         seed=11,
     )
     eff = effective_constants(loss_constants(amplitude, freq_scale), theta)
-    rng = spawn_rng_stream(17, 1)
+    rng = spawn_rng_stream(17, 1)._gen  # the stream's generator, for its integer draws
     n_pairs = 10_000
     rounds = rng.integers(1, 51, size=n_pairs)
     X = rng.uniform(-3.0, 3.0, size=(n_pairs, d))

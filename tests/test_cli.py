@@ -88,6 +88,20 @@ def test_out_dir_env_overrides_the_flag(tmp_path, monkeypatch):
     assert not (tmp_path / "flag-out").exists()
 
 
+@pytest.mark.parametrize(
+    "command, artifact",
+    [("run", "run_seed0.csv"), ("bounds", "bound_adagrad-expectation.json"),
+     ("verify-lemmas", "lemmas_quick.json")],
+)
+def test_every_command_writes_to_the_config_out_dir(tmp_path, monkeypatch, command, artifact):
+    monkeypatch.chdir(tmp_path)
+    cfg = tmp_path / "exp.json"
+    cfg.write_text(json.dumps({"out_dir": "cfgout", "horizon": 40, "dim": 4}))
+    assert cli.main([command, "--config", str(cfg)]) == 0
+    assert (tmp_path / "cfgout" / artifact).exists()
+    assert not (tmp_path / "dynreg-out").exists()
+
+
 def test_config_file_merges_and_rejects_unknown_keys(tmp_path, capsys):
     cfg = tmp_path / "exp.json"
     cfg.write_text(json.dumps({"horizon": 12, "dim": 3, "smoothing": {"window": 3}}))

@@ -82,6 +82,15 @@ def test_errors_are_collected_together():
     assert "horizon" in msg
     assert "dim" in msg
     assert "delta" in msg
+    # each failing key is listed with its value, the stream seed at load time
+    with pytest.raises(ConfigError) as exc:
+        load_config(None, ("horizon=0", "dim=true", "seeds=[1.5]",
+                           "stream.seed=18446744073709551616"))
+    lines = [line.strip() for line in str(exc.value).splitlines()[1:]]
+    for key, value in (("horizon", "0"), ("dim", "True"), ("seeds[0]", "1.5"),
+                       ("stream.seed", "18446744073709551616")):
+        assert any(line.startswith(f"{key} must be") and line.endswith(f", got {value}")
+                   for line in lines), (key, lines)
 
 
 def test_beta_ranges_are_checked_for_every_preset():

