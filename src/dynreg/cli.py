@@ -27,20 +27,11 @@ import numpy as np
 from .config import ExperimentConfig, load_config
 from .lemmas import run_checks
 from .meta import run_stream
-from .numerics import ConfigError, NumericError, VerificationError
-from .regret import (
-    bound_expectation,
-    bound_highprob,
-    dlr_cumulative,
-    slr_cumulative,
-)
+from .numerics import ConfigError, NumericError, VerificationError, _check_key_part, check_int
+from .regret import bound_expectation, bound_highprob, dlr_cumulative, slr_cumulative
 from .tasks import loss_constants
 
 __all__ = ["main"]
-
-
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
 
 
 def _out_dir(cli_out, cfg: ExperimentConfig) -> Path:
@@ -51,19 +42,23 @@ def _out_dir(cli_out, cfg: ExperimentConfig) -> Path:
     return path
 
 
+def _write_json(path: Path, record: dict) -> None:
+    path.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+
+
+_CSV_HEADER = "t,loss,grad_norm_sq,dlr_cum,slr_cum,eta_t\n"
+# %.17g converts a float as format(x, ".17g") does: enough digits to round-trip
+_CSV_ROW = "%d" + ",%.17g" * 5 + "\n"
+
+
 def _run_seed_job(payload) -> dict:
-    """Run one seed end to end and write its artifacts (pool-friendly)."""
+    """Run one seed end to end, write its artifacts and return its summary
+    (pool-friendly)."""
     raw_cfg, seed, out_dir = payload
     cfg = ExperimentConfig(raw=raw_cfg)
     t0 = time.perf_counter()
-    stream = cfg.stream(seed)
     trace = run_stream(
-        stream,
-        cfg.horizon,
-        cfg.inner(),
-        cfg.optimizer(),
-        seed=seed,
-        x0=cfg.init_vector(),
+        cfg.stream(seed), cfg.horizon, cfg.inner(), cfg.optimizer(), seed=seed, x0=cfg.init_vector()
     )
     w = cfg.window()
     dlr = dlr_cumulative(trace, w, cfg.alpha)
@@ -74,43 +69,23 @@ def _run_seed_job(payload) -> dict:
         raise NumericError(f"round {bad + 1}'s squared gradient norm overflowed")
     wall = time.perf_counter() - t0
 
-    csv_path = Path(out_dir) / f"run_seed{seed}.csv"
-    lines = ["t,loss,grad_norm_sq,dlr_cum,slr_cum,eta_t"]
-    for i in range(trace.horizon):
-        lines.append(
-            ",".join(
-                (
-                    str(i + 1),
-                    _fmt(trace.losses[i]),
-                    _fmt(grad_norm_sq[i]),
-                    _fmt(dlr.cumulative[i]),
-                    _fmt(slr.cumulative[i]),
-                    _fmt(trace.step_sizes[i]),
-                )
-            )
-        )
-    csv_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-
+    columns = (trace.losses, grad_norm_sq, dlr.cumulative, slr.cumulative, trace.step_sizes)
+    rows = zip(range(1, trace.horizon + 1), *(column.tolist() for column in columns))
+    csv_name = f"run_seed{seed}.csv"
+    (out_dir / csv_name).write_text(
+        _CSV_HEADER + "".join(map(_CSV_ROW.__mod__, rows)), encoding="utf-8"
+    )
     summary = {
         "seed": seed,
         "horizon": cfg.horizon,
         "final_dlr": dlr.total,
         "final_slr": slr.total,
         "wall_time_s": wall,
-        "csv": csv_path.name,
+        "csv": csv_name,
         "config": cfg.snapshot(seed=seed),
     }
-    json_path = Path(out_dir) / f"summary_seed{seed}.json"
-    json_path.write_text(
-        json.dumps(summary, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
-    return {
-        "seed": seed,
-        "final_dlr": dlr.total,
-        "final_slr": slr.total,
-        "wall_time_s": wall,
-        "csv": str(csv_path),
-    }
+    _write_json(out_dir / f"summary_seed{seed}.json", summary)
+    return summary
 
 
 def _cmd_run(args) -> int:
@@ -120,28 +95,27 @@ def _cmd_run(args) -> int:
             seeds = [int(s) for s in args.seed_list.split(",") if s.strip() != ""]
         except ValueError:
             raise ConfigError(f"--seed-list must be comma-separated integers, got {args.seed_list!r}")
-        if not seeds or any(s < 0 for s in seeds):
-            raise ConfigError("--seed-list must name at least one seed >= 0")
+        if not seeds:
+            raise ConfigError("--seed-list must name at least one seed")
+        seeds = [_check_key_part(f"--seed-list[{i}]", seed) for i, seed in enumerate(seeds)]
     elif args.seeds is not None:
-        if args.seeds < 1:
-            raise ConfigError(f"--seeds must be >= 1, got {args.seeds}")
-        seeds = list(range(args.seeds))
+        seeds = list(range(check_int("--seeds", args.seeds)))
     else:
         seeds = cfg.seeds
+    jobs = check_int("--jobs", args.jobs)
+    # every flag is checked before the output directory is made
     out_dir = _out_dir(args.out, cfg)
-    if args.jobs < 1:
-        raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
 
-    payloads = [(cfg.raw, seed, str(out_dir)) for seed in seeds]
-    if args.jobs > 1 and len(payloads) > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    payloads = [(cfg.raw, seed, out_dir) for seed in seeds]
+    if jobs > 1 and len(payloads) > 1:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_run_seed_job, payloads))
     else:
         results = [_run_seed_job(p) for p in payloads]
     for res in results:
         print(
             f"seed {res['seed']}: dlr={res['final_dlr']:.6g} "
-            f"slr={res['final_slr']:.6g} wall={res['wall_time_s']:.2f}s -> {res['csv']}"
+            f"slr={res['final_slr']:.6g} wall={res['wall_time_s']:.2f}s -> {out_dir / res['csv']}"
         )
     return 0
 
@@ -171,7 +145,7 @@ def _cmd_bounds(args) -> int:
         record = report.to_record()
         record["config"] = cfg.snapshot()
         path = out_dir / f"bound_{theorem}.json"
-        path.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+        _write_json(path, record)
         extra = f"  warnings: {'; '.join(report.warnings)}" if report.warnings else ""
         print(f"{theorem}: rhs={report.rhs:.6g} -> {path}{extra}")
     return 0
@@ -186,7 +160,7 @@ def _cmd_verify_lemmas(args) -> int:
         "results": [r.to_record() for r in results],
     }
     path = out / f"lemmas_{args.preset}.json"
-    path.write_text(json.dumps(artifact, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    _write_json(path, artifact)
     failed = []
     for res in results:
         status = "pass" if res.passed else f"FAIL ({len(res.violations)} violations)"

@@ -21,7 +21,7 @@ from typing import Optional
 import numpy as np
 
 from .meta import InnerAdaptConfig, RunTrace, run_streams
-from .numerics import ConfigError, NumericError, geometric_sum, spawn_rng_stream
+from .numerics import ConfigError, NumericError, spawn_rng_stream
 from .optimizer import alpha_weights, make_config_adagrad, weight_sum_W
 from .regret import _window_sums, variance_proxy
 from .tasks import (
@@ -301,20 +301,6 @@ def check_quadratic(
     return col.done()
 
 
-def _drift_bounds(D: float, w: int, alpha: float) -> tuple[float, float]:
-    """Forward and backward drift bounds of the smoothed objective.
-
-    (1 - alpha^k) / (1 - alpha) is the geometric sum of k terms, evaluated
-    without cancellation as alpha -> 1 and exactly k at alpha = 1; with
-    k = w it equals W, so the backward bound is 2D for every alpha.
-    """
-    W = weight_sum_W(alpha, w)
-    fwd = D * (1.0 + alpha ** (w - 1)) / W + D * geometric_sum(math.log(alpha), w - 1) * (
-        1.0 + alpha
-    ) / W
-    return fwd, 2.0 * D
-
-
 def check_objective_drift(
     trace: RunTrace, w: int, alpha: float, D: float = None, rhs_scale: float = 1.0
 ) -> LemmaCheckResult:
@@ -322,7 +308,7 @@ def check_objective_drift(
 
     S_t(x) = (1/W)(alpha^0 ell_t(x) + sum_{r>=1} alpha^r ell_{t-r}(x_{t-r}));
     checks S_{t+1}(x_{t+1}) - S_t(x_{t+1}) and S_t(x_t) - S_{t+1}(x_{t+1})
-    against their closed-form bounds for every t < T.
+    against their closed-form bound 2D for every t < T.
     """
     stream = trace.stream
     if stream is None:
@@ -344,7 +330,10 @@ def check_objective_drift(
     W = weight_sum_W(alpha, w)
     weights = alpha_weights(alpha, w)
     losses = trace.losses
-    fwd_bound, back_bound = _drift_bounds(D, w, alpha)
+    # Both bounds are exactly 2D. The forward one, D(1 + alpha^(w-1))/W
+    # + D(1 + alpha)(1 - alpha^(w-1))/((1 - alpha)W), reduces to it since
+    # (1 + alpha^(w-1))(1 - alpha) + (1 + alpha)(1 - alpha^(w-1)) = 2(1 - alpha^w).
+    bound = 2.0 * D
 
     def older_terms(t: int) -> list:
         """alpha^r ell_{t-r}(x_{t-r}) for 1 <= r < min(t, w), the part of
@@ -362,8 +351,8 @@ def check_objective_drift(
         older_next = older_terms(t + 1)
         s_t_next = window_sum(older, next_losses[t - 1])
         s_next = window_sum(older_next, losses[t])
-        col.check(s_next - s_t_next, fwd_bound, t=t, seed=trace.seed, side="forward")
-        col.check(s_t_here - s_next, back_bound, t=t, seed=trace.seed, side="backward")
+        col.check(s_next - s_t_next, bound, t=t, seed=trace.seed, side="forward")
+        col.check(s_t_here - s_next, bound, t=t, seed=trace.seed, side="backward")
         # S_{t+1}(x_{t+1}) is the next round's S_t(x_t)
         older, s_t_here = older_next, s_next
     return col.done()

@@ -284,20 +284,24 @@ class SineStream:
     `step` and is re-normalized, the phase by a Gaussian step of std `step`.
     The drifting family is the walk with one-round segments and step
     drift_rate, the piecewise family the walk with step jump_scale; the
-    family only names the parameters in spec(). step = 0 freezes the walk,
-    giving a stationary stream. make_drifting_sine_stream and
-    make_piecewise_drift_stream build it and check the walk's parameters.
+    family names the step in errors and in spec(). step = 0 freezes the
+    walk, giving a stationary stream. make_drifting_sine_stream and
+    make_piecewise_drift_stream build it.
     """
 
     def __init__(self, family, dim, segment_length, step, amplitude, freq_scale, noise, seed):
+        if family not in (DRIFTING, PIECEWISE):
+            raise ConfigError(f"family must be {DRIFTING!r} or {PIECEWISE!r}, got {family!r}")
+        self.segment_length = check_int("segment_length", segment_length)
+        if family == DRIFTING and self.segment_length != 1:
+            raise ConfigError(f"segment_length must be 1 for {DRIFTING}, got {segment_length!r}")
+        self.step = check_real("drift_rate" if family == DRIFTING else "jump_scale", step, STEP_RANGE)
         if noise is None:
             noise = NoiseModel(EXACT)
         if not isinstance(noise, NoiseModel):
             raise ConfigError("noise must be a NoiseModel")
         self.kind = family
         self.dim = check_int("dim", dim)
-        self.segment_length = int(segment_length)
-        self.step = float(step)
         self._constants = loss_constants(amplitude, freq_scale)  # checks both
         self.amplitude = float(amplitude)
         self.freq_scale = float(freq_scale)
@@ -389,7 +393,6 @@ def make_drifting_sine_stream(
     seed: int = 0,
 ) -> SineStream:
     """Sine stream whose parameters random-walk at rate drift_rate per round."""
-    check_real("drift_rate", drift_rate, STEP_RANGE)
     return SineStream(DRIFTING, dim, 1, drift_rate, amplitude, freq_scale, noise, seed)
 
 
@@ -403,8 +406,6 @@ def make_piecewise_drift_stream(
     seed: int = 0,
 ) -> SineStream:
     """Sine stream constant on segments with jumps of size jump_scale between them."""
-    check_int("segment_length", segment_length)
-    check_real("jump_scale", jump_scale, STEP_RANGE)
     return SineStream(
         PIECEWISE, dim, segment_length, jump_scale, amplitude, freq_scale, noise, seed
     )

@@ -67,6 +67,13 @@ def test_run_validates_seed_and_job_arguments(tmp_path, capsys):
     assert cli.main(["run", *FAST, "--seeds", "0", "--out", str(tmp_path)]) == 2
     assert cli.main(["run", *FAST, "--seed-list", "1,x", "--out", str(tmp_path)]) == 2
     assert cli.main(["run", *FAST, "--jobs", "0", "--out", str(tmp_path)]) == 2
+    # a flag is refused before any seed runs or the output directory is made
+    too_big = f"0,{2**64}"
+    assert cli.main(["run", *FAST, "--seed-list", too_big, "--out", str(tmp_path)]) == 2
+    assert not (tmp_path / "run_seed0.csv").exists()
+    fresh = tmp_path / "fresh"
+    assert cli.main(["run", *FAST, "--jobs", "0", "--out", str(fresh)]) == 2
+    assert not fresh.exists()
     err = capsys.readouterr().err
     assert "config error" in err
 

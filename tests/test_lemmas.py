@@ -35,7 +35,6 @@ from dynreg.lemmas import (
     _EPS_GRID,
     _MOMENTUM_GRID,
     _Collector,
-    _drift_bounds,
     _drift_config,
     _merge,
     _named_positive_sequences,
@@ -176,9 +175,8 @@ def test_objective_drift_bounds_keep_precision_as_alpha_tends_to_one(alpha, w):
     W = fsum(alpha**r for r in range(w))
     head = fsum(alpha**r for r in range(w - 1))  # (1 - alpha^(w-1)) / (1 - alpha)
     fwd = D * (1.0 + alpha ** (w - 1)) / W + D * head * (1.0 + alpha) / W
-    got_fwd, got_back = _drift_bounds(D, w, alpha)
-    assert got_fwd == pytest.approx(fwd, rel=8 * sys.float_info.epsilon, abs=0.0)
-    assert got_back == 2.0 * D
+    # check_objective_drift uses 2D for the forward bound as well
+    assert fwd == pytest.approx(2.0 * D, rel=8 * sys.float_info.epsilon, abs=0.0)
 
 
 def test_mc_smoothed_gradient_checks_pass_at_reduced_size():
@@ -301,7 +299,6 @@ def _scalar_objective_drift(trace, w, alpha, rhs_scale):
     W = weight_sum_W(alpha, w)
     weights = alpha_weights(alpha, w)
     losses = trace.losses
-    fwd_bound, back_bound = _drift_bounds(D, w, alpha)
 
     def window_sum(t, newest):
         occ = min(t, w)
@@ -314,8 +311,8 @@ def _scalar_objective_drift(trace, w, alpha, rhs_scale):
         s_t_here = window_sum(t, losses[t - 1])
         s_t_next = window_sum(t, RoundLoss(stream.task(t), trace.theta).loss(x_next))
         s_next = window_sum(t + 1, losses[t])
-        col.check(s_next - s_t_next, fwd_bound, t=t, seed=trace.seed, side="forward")
-        col.check(s_t_here - s_next, back_bound, t=t, seed=trace.seed, side="backward")
+        col.check(s_next - s_t_next, 2.0 * D, t=t, seed=trace.seed, side="forward")
+        col.check(s_t_here - s_next, 2.0 * D, t=t, seed=trace.seed, side="backward")
     return col.done()
 
 

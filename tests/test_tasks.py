@@ -246,6 +246,13 @@ def test_stream_seed_is_checked_at_construction(seed):
         make_piecewise_drift_stream(dim=3, segment_length=4, jump_scale=0.1, seed=seed)
 
 
+def test_stream_refuses_an_unknown_family_and_a_long_drifting_segment():
+    with pytest.raises(ConfigError, match="^family must be .*, got 'sine'$"):
+        tasks.SineStream("sine", 2, 1, 0.1, 1.0, 1.0, None, 0)
+    with pytest.raises(ConfigError, match="^segment_length must be 1 for drifting-sine, got 2$"):
+        tasks.SineStream(tasks.DRIFTING, 2, 2, 0.1, 1.0, 1.0, None, 0)
+
+
 def test_drifting_stream_zero_rate_is_stationary():
     A, B = make_drifting_sine_stream(dim=3, drift_rate=0.0, seed=2).params_upto(20)
     assert np.array_equal(A, np.repeat(A[:1], 20, axis=0))

@@ -33,6 +33,7 @@ from dynreg import (
     variance_proxy,
     weight_sum_W,
 )
+from dynreg.tasks import SineStream
 
 NOISE = NoiseModel(GAUSSIAN, sigma=0.5)
 STREAM = make_drifting_sine_stream(dim=2, noise=NOISE)
@@ -52,6 +53,12 @@ INTEGERS = [
         "segment_length",
         1,
         lambda v: make_piecewise_drift_stream(2, v, 0.5),
+    ),
+    (
+        "SineStream",
+        "segment_length",
+        1,
+        lambda v: SineStream("piecewise-sine", 2, v, 0.5, 1.0, 1.0, None, 0),
     ),
     ("params_upto", "rounds", 1, lambda v: make_drifting_sine_stream(2).params_upto(v)),
     ("task", "t", 1, lambda v: make_drifting_sine_stream(2).task(v)),
@@ -124,6 +131,20 @@ REALS = [
         (-1.0,),
         False,
         lambda v: make_piecewise_drift_stream(2, 5, 0.5, freq_scale=v),
+    ),
+    (
+        "SineStream",
+        "drift_rate",
+        (-0.1,),
+        False,
+        lambda v: SineStream("drifting-sine", 2, 1, v, 1.0, 1.0, None, 0),
+    ),
+    (
+        "SineStream",
+        "jump_scale",
+        (-0.1,),
+        False,
+        lambda v: SineStream("piecewise-sine", 2, 5, v, 1.0, 1.0, None, 0),
     ),
     ("LossConstants", "constant D", (-1.0,), False, lambda v: LossConstants(v, 1.0, 1.0, 1.0)),
     ("LossConstants", "constant H", (-1.0,), False, lambda v: LossConstants(1.0, 1.0, 1.0, v)),
