@@ -27,11 +27,13 @@ from .optimizer import (
     make_config_adagrad,
     make_config_adam,
 )
-from .regret import DELTA_RANGE, THEOREMS
+from .regret import ADAGRAD, ADAM, DELTA_RANGE, THEOREMS
 from .tasks import (
+    _KINDS,
+    DRIFTING,
     EXACT,
     GAUSSIAN,
-    SUBGAUSSIAN,
+    PIECEWISE,
     SIGMA_RANGE,
     STEP_RANGE,
     NoiseModel,
@@ -50,7 +52,7 @@ DEFAULTS: dict = {
     "bounds": None,
     "init": None,
     "stream": {
-        "family": "drifting-sine",
+        "family": DRIFTING,
         "amplitude": 1.0,
         "freq_scale": 1.0,
         "drift_rate": 0.05,
@@ -68,7 +70,7 @@ DEFAULTS: dict = {
         "train_batch": 32,
     },
     "optimizer": {
-        "preset": "adagrad",
+        "preset": ADAGRAD,
         "eta": 0.1,
         "beta1": 0.9,
         "beta2": 0.999,
@@ -199,9 +201,9 @@ def _validate(cfg: dict) -> list:
                 e.append(f"init must have dim = {ok['dim']} entries, got {len(init)}")
 
     for key, names in (
-        ("stream.family", ("drifting-sine", "piecewise-sine")),
-        ("noise.kind", (EXACT, GAUSSIAN, SUBGAUSSIAN)),
-        ("optimizer.preset", ("adagrad", "adam")),
+        ("stream.family", (DRIFTING, PIECEWISE)),
+        ("noise.kind", _KINDS),
+        ("optimizer.preset", (ADAGRAD, ADAM)),
     ):
         section, _, leaf = key.rpartition(".")
         if cfg[section][leaf] not in names:
@@ -211,7 +213,7 @@ def _validate(cfg: dict) -> list:
         need = "0 for exact noise" if kind == EXACT else f"> 0 for {kind} noise"
         e.append(f"noise.sigma must be {need}, got {sigma!r}")
     b1, b2 = ok["optimizer.beta1"], ok["optimizer.beta2"]
-    if cfg["optimizer"]["preset"] == "adam" and None not in (b1, b2) and not 0 < b1 < b2 < 1:
+    if cfg["optimizer"]["preset"] == ADAM and None not in (b1, b2) and not 0 < b1 < b2 < 1:
         e.append(
             "optimizer.beta1/beta2: adam preset needs 0 < beta1 < beta2 < 1, "
             f"got {b1!r} and {b2!r}"
@@ -279,7 +281,7 @@ class ExperimentConfig:
 
     def optimizer(self) -> OptimizerConfig:
         op = self.raw["optimizer"]
-        if op["preset"] == "adagrad":
+        if op["preset"] == ADAGRAD:
             return make_config_adagrad(
                 eta=float(op["eta"]),
                 epsilon=float(op["epsilon"]),
@@ -299,7 +301,7 @@ class ExperimentConfig:
         st = self.raw["stream"]
         seed = run_seed if st["seed"] is None else int(st["seed"])
         noise = self.noise_model()
-        if st["family"] == "drifting-sine":
+        if st["family"] == DRIFTING:
             return make_drifting_sine_stream(
                 dim=self.dim,
                 amplitude=float(st["amplitude"]),

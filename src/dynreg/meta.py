@@ -307,16 +307,13 @@ def run_streams(
     and its own random stream (seed, t) per round, so trace r equals
     run_stream(streams[r], ..., seeds[r]) bit for bit.
 
-    Every finiteness check runs once per round over the (R, d) block, in
-    run_round's order: the sine argument at x, the adapted point, the sine
-    argument at U(x), the round loss and its gradient, the smoothed
-    gradient, the second moment and the iterate. The first failure in round
-    order wins; within a round, the first failing check, and within it the
-    lowest run. The NumericError carries the text that run would raise
-    alone; with R > 1 it is prefixed with the run's index and seed. A run
-    that fails in an earlier round than another is therefore reported even
-    if it comes later in the batch, unlike serial play, which reports the
-    first failure in seed order.
+    Each round is checked once, by one sum over the adapted points, the new
+    iterates and the second moments. When it is not finite, the round is
+    replayed through run_round run by run, lowest run first: the first run
+    that raises raises its own NumericError, prefixed with its index and
+    seed when R > 1, and when none raises, play goes on. So the first
+    failure in round order wins, and within a round the lowest failing run,
+    unlike serial play, which reports the first failure in seed order.
     """
     streams, seeds = list(streams), [_check_key_part("seed", seed) for seed in seeds]
     if not streams or len(streams) != len(seeds):
@@ -363,28 +360,22 @@ def run_streams(
     ]
 
 
-def _raise_first_failure(t: int, seeds: list, s, xhat, loss, g, gt, v, x_new) -> None:
-    """Raise run_round's NumericError for the first non-finite block of round
-    t in run_round's order, at the lowest failing run and its first bad
-    coordinate k; the text names the run when the batch has several."""
-    sine = f"round {t} produced a non-finite sine argument <a, x> + b"
-    for block, message in (
-        (s, sine),
-        (xhat, "inner adaptation non-finite at coordinate {k}"),
-        (loss, sine),  # the loss is nan exactly when <a, U(x)> + b is not finite
-        (g, f"round {t} produced a non-finite loss or gradient"),
-        (gt, "smoothed gradient has a non-finite entry at coordinate {k}"),
-        (v, f"second moment overflowed at coordinate {{k}} (round {t})"),
-        (x_new, f"update produced a non-finite iterate at coordinate {{k}} (round {t})"),
-    ):
-        block = np.reshape(block, (len(seeds), -1))
-        bad = np.flatnonzero(~np.isfinite(block))
-        if bad.size:
-            run, k = divmod(int(bad[0]), block.shape[1])
-            text = message.format(k=k)
-            if len(seeds) > 1:
-                text = f"run {run} (seed {seeds[run]}): {text}"
-            raise NumericError(text)
+def _replay_round(streams, seeds, t, x, m, v, older, inner, opt) -> None:
+    """Replay round t of each run through run_round, lowest run first, from
+    the loop's (R, d) blocks x, m and v before the round and older, the
+    gradients of the last min(t - 1, w - 1) rounds, oldest first. The first
+    run that raises raises its NumericError, prefixed when R > 1."""
+    for r, (stream, seed) in enumerate(zip(streams, seeds)):
+        window = SmoothingWindow(opt.alpha, opt.window)
+        for g in older[:, r]:
+            window._store(g)
+        state = MetaLearnerState(x[r], OptimizerState(m[r], v[r], t), window)
+        try:
+            run_round(state, stream.task(t), inner, opt, spawn_rng_stream(seed, t))
+        except NumericError as exc:
+            if len(seeds) == 1:
+                raise
+            raise NumericError(f"run {r} (seed {seed}): {exc}") from exc
 
 
 def _runs_window_sum(window: SmoothingWindow, rows: np.ndarray, runs: int) -> np.ndarray:
@@ -408,11 +399,12 @@ def _play_sine_streams(streams, T, inner, opt, seeds, x0) -> dict:
     Performs the floating-point operations of inner_adapt,
     RoundLoss.value_and_grad (as sine_round_rows), SmoothingWindow.push,
     smoothed_stochastic_gradient and dts_ag_step in their order, so each
-    run's rows equal the round-by-round path bit for bit, and raises the
-    same errors at the same round. One Philox is re-keyed to (seed, t) for
-    each run's round; a round's adaptation draw and window draw come from
-    one call, which yields the same sequence as two. The window ring holds one
-    (R*d)-wide row per round. Returns the trace arrays with the runs first.
+    run's rows equal the round-by-round path bit for bit; a round that fails
+    the loop's one finiteness check is replayed through run_round, which
+    raises its errors. One Philox is re-keyed to (seed, t) for each run's
+    round; a round's adaptation draw and window draw come from one call,
+    which yields the same sequence as two. The window ring holds one (R*d)-wide
+    row per round. Returns the trace arrays with the runs first.
     """
     R, d, w = len(streams), streams[0].dim, opt.window
     A = np.empty((T, R, d))  # round t's rows at t - 1
@@ -445,7 +437,7 @@ def _play_sine_streams(streams, T, inner, opt, seeds, x0) -> dict:
             for r, seed in enumerate(seeds):
                 draws[: occ + 1, r] = rng.rekey(t, seed).standard_normal((occ + 1, d))
             z = coord_std * draws[: occ + 1]
-        s, g_in, u, val, g = sine_round_rows(A[i], B[i], x, D, theta)
+        _, g_in, u, val, g = sine_round_rows(A[i], B[i], x, D, theta)
         # inner_adapt; with exact gradients the adapted point is U(x)
         xhat = x - theta * (g_in + z[0] / sqrt_tb) if noisy else u
         # SmoothingWindow.push, its checks made below
@@ -456,14 +448,15 @@ def _play_sine_streams(streams, T, inner, opt, seeds, x0) -> dict:
             rows = rows + z[1:].reshape(occ, R * d)
         gt = (_runs_window_sum(window, rows, R) / window.weight_sum).reshape(R, d)
         # dts_ag_step
-        m = beta1 * m + gt
-        v = beta2 * v + gt * gt
-        x_new = x - etas[i] * m / np.sqrt(eps + v)
+        m_new = beta1 * m + gt
+        v_new = beta2 * v + gt * gt
+        x_new = x - etas[i] * m_new / np.sqrt(eps + v_new)
         # a non-finite s, loss, gradient or g~ leaves nan in xhat or x_new, and
-        # an overflowed v is inf, so one sum finds every failure; the search
-        # finds none when only the sum overflowed
-        if not math.isfinite(np.add.reduce(xhat + x_new + v, axis=None)):
-            _raise_first_failure(t, seeds, s, xhat, val, g, gt, v, x_new)
+        # an overflowed v is inf, so one sum finds every failure; the replay
+        # raises none when only the sum overflowed
+        if not math.isfinite(np.add.reduce(xhat + x_new + v_new, axis=None)):
+            _replay_round(streams, seeds, t, x, m, v, grads[max(0, t - w) : i], inner, opt)
+        m, v = m_new, v_new
         iterates[i] = x
         adapted[i] = xhat
         losses[i] = val

@@ -144,8 +144,6 @@ def _window_sums(G, w: int, alpha: float) -> np.ndarray:
     G = np.ascontiguousarray(G, dtype=np.float64)
     T, d = G.shape
     W = weight_sum_W(alpha, w)
-    if w == 1:
-        return G / W
     padded = np.vstack([np.zeros((w - 1, d)), G])
     win = np.lib.stride_tricks.sliding_window_view(padded, w, axis=0)  # (T, d, w)
     # position k carries weight alpha^(w-1-k)

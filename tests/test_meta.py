@@ -267,6 +267,57 @@ def test_a_batch_reports_the_first_failure_in_round_order():
     assert batch == f"run 1 (seed 2): {alone[2]}"
 
 
+def test_a_batch_reports_the_lowest_run_that_fails_in_a_round():
+    # in round 1, run 0's update overflows the iterate (its sine arguments
+    # stay finite) and run 1's sine argument overflows, a check run_round
+    # makes earlier in the round; no errstate here, so a numpy warning
+    # raised while the round is replayed would fail the test
+    noise = NoiseModel(GAUSSIAN, sigma=0.5)
+    inner = InnerAdaptConfig(theta=0.05, train_batch=1)
+    opt = make_config_adagrad(eta=1e308, alpha=1.0, window=4)
+    x0 = np.full(3, 1.5e308)
+    streams = [
+        make_drifting_sine_stream(dim=3, freq_scale=scale, drift_rate=0.05, noise=noise, seed=s)
+        for scale, s in ((1e-300, 1), (1e3, 2))
+    ]
+    alone = [
+        _numeric_error(lambda: run_stream(stream, 5, inner, opt, seed=seed, x0=x0))
+        for stream, seed in zip(streams, (1, 2))
+    ]
+    assert alone == [
+        "update produced a non-finite iterate at coordinate 2 (round 1)",
+        "round 1 produced a non-finite sine argument <a, x> + b",
+    ]
+    batch = _numeric_error(lambda: run_streams(streams, 5, inner, opt, [1, 2], x0))
+    assert batch == f"run 0 (seed 1): {alone[0]}"
+
+
+@pytest.mark.parametrize("seeds", [[2], [2, 3]])
+def test_a_run_whose_only_overflow_is_the_check_sum_plays_to_the_end(seeds):
+    # |a| = 1 in one dimension: at x ~ 1e308 every sine argument, adapted
+    # point and iterate is finite, but the loop's one-sum check overflows in
+    # every round, so every round is replayed and none raises
+    stream = make_drifting_sine_stream(
+        dim=1, drift_rate=0.05, noise=NoiseModel(GAUSSIAN, sigma=0.5), seed=3
+    )
+    inner = InnerAdaptConfig(theta=0.05, train_batch=1)
+    opt = make_config_adagrad(eta=0.2, alpha=1.0, window=4)
+    x0 = np.full(1, 1e308)
+    T = 12
+    traces = run_streams([stream] * len(seeds), T, inner, opt, seeds, x0)
+    for seed, trace in zip(seeds, traces):
+        assert trace.iterates[-1, 0] > 1e307
+        state = make_meta_state(x0, opt)
+        for t in range(1, T + 1):
+            state, rec = run_round(state, stream.task(t), inner, opt, spawn_rng_stream(seed, t))
+            i = t - 1
+            assert np.array_equal(trace.iterates[i], rec.iterate)
+            assert np.array_equal(trace.adapted[i], rec.adapted)
+            assert trace.losses[i] == rec.loss
+            assert np.array_equal(trace.grads[i], rec.grad)
+            assert np.array_equal(trace.smoothed_grads[i], rec.smoothed_grad)
+
+
 def _numeric_error(fn) -> str:
     with pytest.raises(NumericError) as info:
         fn()
