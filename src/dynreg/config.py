@@ -37,8 +37,7 @@ from .tasks import (
     SIGMA_RANGE,
     STEP_RANGE,
     NoiseModel,
-    make_drifting_sine_stream,
-    make_piecewise_drift_stream,
+    SineStream,
 )
 
 __all__ = ["DEFAULTS", "ExperimentConfig", "load_config", "default_config"]
@@ -300,24 +299,14 @@ class ExperimentConfig:
     def stream(self, run_seed: int):
         st = self.raw["stream"]
         seed = run_seed if st["seed"] is None else int(st["seed"])
-        noise = self.noise_model()
+        # a drifting stream is the walk with one-round segments
         if st["family"] == DRIFTING:
-            return make_drifting_sine_stream(
-                dim=self.dim,
-                amplitude=float(st["amplitude"]),
-                freq_scale=float(st["freq_scale"]),
-                drift_rate=float(st["drift_rate"]),
-                noise=noise,
-                seed=seed,
-            )
-        return make_piecewise_drift_stream(
-            dim=self.dim,
-            segment_length=int(st["segment_length"]),
-            jump_scale=float(st["jump_scale"]),
-            amplitude=float(st["amplitude"]),
-            freq_scale=float(st["freq_scale"]),
-            noise=noise,
-            seed=seed,
+            segment_length, step = 1, st["drift_rate"]
+        else:
+            segment_length, step = st["segment_length"], st["jump_scale"]
+        return SineStream(
+            st["family"], self.dim, segment_length, step, st["amplitude"], st["freq_scale"],
+            self.noise_model(), seed,
         )
 
     def init_vector(self) -> Optional[np.ndarray]:

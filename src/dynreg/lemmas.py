@@ -302,19 +302,18 @@ def check_quadratic(
 
 
 def check_objective_drift(
-    trace: RunTrace, w: int, alpha: float, D: float = None, rhs_scale: float = 1.0
+    trace: RunTrace, w: int, alpha: float, rhs_scale: float = 1.0
 ) -> LemmaCheckResult:
     """Per-round drift of the weighted window objective along a real trace.
 
     S_t(x) = (1/W)(alpha^0 ell_t(x) + sum_{r>=1} alpha^r ell_{t-r}(x_{t-r}));
     checks S_{t+1}(x_{t+1}) - S_t(x_{t+1}) and S_t(x_t) - S_{t+1}(x_{t+1})
-    against their closed-form bound 2D for every t < T.
+    against their closed-form bound 2D, D the stream's amplitude, for every
+    t < T.
     """
     stream = trace.stream
     if stream is None:
         raise ConfigError("trace has no stream attached; cannot rebuild round losses")
-    if D is None:
-        D = stream.constants().D
     # ell_t(x_{t+1}) for t = 1..T-1, row t-1: round t's loss at the next iterate
     A, B = stream.params_upto(trace.horizon)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -334,7 +333,7 @@ def check_objective_drift(
     # Both bounds are exactly 2D. The forward one, D(1 + alpha^(w-1))/W
     # + D(1 + alpha)(1 - alpha^(w-1))/((1 - alpha)W), reduces to it since
     # (1 + alpha^(w-1))(1 - alpha) + (1 + alpha)(1 - alpha^(w-1)) = 2(1 - alpha^w).
-    bound = 2.0 * D
+    bound = 2.0 * stream.constants().D
 
     def older_terms(t: int) -> list:
         """alpha^r ell_{t-r}(x_{t-r}) for 1 <= r < min(t, w), the part of
@@ -383,12 +382,10 @@ _DRIFT_CONFIGS = (
 )
 
 
-def _drift_config(
-    seed: int, rhs_scale: float, w: int, alpha: float, n_seeds: int, horizon: int
-) -> list:
-    """One config's drift checks, one per seeded drifting run; the runs are
-    played as one batch."""
-    seeds = [seed + s for s in range(n_seeds)]
+def _drift_config(rhs_scale: float, w: int, alpha: float, n_seeds: int, horizon: int) -> list:
+    """One config's drift checks, one per drifting run of seed 0..n_seeds-1;
+    the runs are played as one batch."""
+    seeds = list(range(n_seeds))
     streams = [
         make_drifting_sine_stream(
             dim=4, drift_rate=0.1, noise=NoiseModel(GAUSSIAN, sigma=0.5), seed=s
@@ -405,13 +402,15 @@ def _drift_config(
     return parts
 
 
-def _drift_suite(seed: int, rhs_scale: float) -> LemmaCheckResult:
+def _drift_suite(rhs_scale: float) -> LemmaCheckResult:
     """Drift check across window/discount configs and seeded drifting runs."""
     t0 = time.perf_counter()
-    parts = [
-        part for config in _DRIFT_CONFIGS for part in _drift_config(seed, rhs_scale, *config)
-    ]
+    parts = [part for config in _DRIFT_CONFIGS for part in _drift_config(rhs_scale, *config)]
     return _merge("objective-drift", parts, t0)
+
+
+# the length of each exceedance run of the smoothed-gradient check
+EXCEEDANCE_HORIZON = 16
 
 
 def mc_smoothed_gradient_lemmas(
@@ -423,7 +422,6 @@ def mc_smoothed_gradient_lemmas(
     seed: int = 0,
     delta: float = None,
     n_runs: int = 0,
-    run_horizon: int = 16,
     rhs_scale: float = 1.0,
 ) -> LemmaCheckResult:
     """Monte Carlo checks of the smoothed-gradient noise lemmas.
@@ -432,9 +430,10 @@ def mc_smoothed_gradient_lemmas(
     deviation of the smoothed stochastic gradient from the exact one stays
     within 5 aggregate standard errors of zero. Variance: the mean squared
     deviation matches mu within 3%. With delta and n_runs given,
-    additionally plays n_runs seeded short streams under sub-Gaussian noise,
-    as one batch, and checks that max_t ||gtilde_t - grad S_t||^2 exceeds
-    mubar(delta) in at most a delta + 3 sqrt(delta/n_runs) fraction of runs.
+    additionally plays n_runs seeded streams of EXCEEDANCE_HORIZON rounds
+    under sub-Gaussian noise, as one batch, and checks that
+    max_t ||gtilde_t - grad S_t||^2 exceeds mubar(delta) in at most a
+    delta + 3 sqrt(delta/n_runs) fraction of runs.
     rhs_scale scales the threshold mubar as well as that fraction, so a
     corrupted run of this check counts exceedances. The largest observed
     max_t ||gtilde_t - grad S_t||^2 / mubar is recorded as
@@ -476,7 +475,7 @@ def mc_smoothed_gradient_lemmas(
         opt = make_config_adagrad(eta=0.1, alpha=alpha, window=window)
         mubar = variance_proxy(sub_noise, window, alpha, delta=delta, dim=dim).mubar
         traces = run_streams(
-            [sub_stream] * int(n_runs), run_horizon, inner, opt, range(int(n_runs))
+            [sub_stream] * int(n_runs), EXCEEDANCE_HORIZON, inner, opt, range(int(n_runs))
         )
         worst = []
         for tr in traces:
@@ -508,11 +507,9 @@ _MC_PARTS = (
 )
 
 
-def _mc_suite(seed: int, rhs_scale: float) -> LemmaCheckResult:
+def _mc_suite(rhs_scale: float) -> LemmaCheckResult:
     t0 = time.perf_counter()
-    parts = [
-        mc_smoothed_gradient_lemmas(**part, seed=seed, rhs_scale=rhs_scale) for part in _MC_PARTS
-    ]
+    parts = [mc_smoothed_gradient_lemmas(**part, rhs_scale=rhs_scale) for part in _MC_PARTS]
     merged = _merge("smoothed-gradient-mc", parts, t0)
     # the exceedance check is rarely the tightest point; its largest ratio to
     # mubar rides along, so the artifact shows how loose mubar is
@@ -535,8 +532,10 @@ FULL_IDS = QUICK_IDS + ("objective-drift", "smoothed-gradient-mc")
 SELF_TEST_SCALE = 0.02
 
 
-def run_checks(preset: str = "quick", corrupt: str = None, seed: int = 0):
+def run_checks(preset: str = "quick", corrupt: str = None):
     """Run the preset's checks; returns a list of LemmaCheckResult.
+
+    Every seeded check draws with its own default seed, 0.
 
     corrupt names a lemma id whose right-hand sides are scaled by
     SELF_TEST_SCALE = 0.02, a self-test that the harness detects violations:
@@ -555,13 +554,11 @@ def run_checks(preset: str = "quick", corrupt: str = None, seed: int = 0):
     runners = {
         "geom-sqrt-sum": lambda: check_geom_sqrt_sum(scale("geom-sqrt-sum")),
         "geom-three-halves-sum": lambda: check_geom_32_sum(scale("geom-three-halves-sum")),
-        "sum-ratio": lambda: check_sum_ratio(scale("sum-ratio"), seed=seed),
-        "sum-ratio-momentum": lambda: check_sum_ratio_momentum(
-            scale("sum-ratio-momentum"), seed=seed
-        ),
-        "quadratic-root": lambda: check_quadratic(scale("quadratic-root"), seed=seed),
+        "sum-ratio": lambda: check_sum_ratio(scale("sum-ratio")),
+        "sum-ratio-momentum": lambda: check_sum_ratio_momentum(scale("sum-ratio-momentum")),
+        "quadratic-root": lambda: check_quadratic(scale("quadratic-root")),
         "inv-sqrt-geom": lambda: check_inv_sqrt_geom(scale("inv-sqrt-geom")),
-        "objective-drift": lambda: _drift_suite(seed, scale("objective-drift")),
-        "smoothed-gradient-mc": lambda: _mc_suite(seed, scale("smoothed-gradient-mc")),
+        "objective-drift": lambda: _drift_suite(scale("objective-drift")),
+        "smoothed-gradient-mc": lambda: _mc_suite(scale("smoothed-gradient-mc")),
     }
     return [runners[lemma_id]() for lemma_id in ids]

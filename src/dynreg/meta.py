@@ -36,7 +36,6 @@ from .optimizer import (
     OptimizerConfig,
     OptimizerState,
     SmoothingWindow,
-    _weighted_row_sum,
     dts_ag_step,
     make_state,
     smoothed_stochastic_gradient,
@@ -308,12 +307,14 @@ def run_streams(
     run_stream(streams[r], ..., seeds[r]) bit for bit.
 
     Each round is checked once, by one sum over the adapted points, the new
-    iterates and the second moments. When it is not finite, the round is
-    replayed through run_round run by run, lowest run first: the first run
-    that raises raises its own NumericError, prefixed with its index and
-    seed when R > 1, and when none raises, play goes on. So the first
-    failure in round order wins, and within a round the lowest failing run,
-    unlike serial play, which reports the first failure in seed order.
+    iterates and the second moments. When it is not finite, those arrays
+    are checked run by run: if every entry is finite, only the sum
+    overflowed and play goes on. Otherwise the lowest run with a non-finite
+    entry is replayed through run_round from round 1 to this round, and
+    raises its own NumericError, prefixed with its index and seed when
+    R > 1. So the first failure in round order wins, and within a round the
+    lowest failing run, unlike serial play, which reports the first failure
+    in seed order.
     """
     streams, seeds = list(streams), [_check_key_part("seed", seed) for seed in seeds]
     if not streams or len(streams) != len(seeds):
@@ -360,37 +361,19 @@ def run_streams(
     ]
 
 
-def _replay_round(streams, seeds, t, x, m, v, older, inner, opt) -> None:
-    """Replay round t of each run through run_round, lowest run first, from
-    the loop's (R, d) blocks x, m and v before the round and older, the
-    gradients of the last min(t - 1, w - 1) rounds, oldest first. The first
-    run that raises raises its NumericError, prefixed when R > 1."""
-    for r, (stream, seed) in enumerate(zip(streams, seeds)):
-        window = SmoothingWindow(opt.alpha, opt.window)
-        for g in older[:, r]:
-            window._store(g)
-        state = MetaLearnerState(x[r], OptimizerState(m[r], v[r], t), window)
-        try:
-            run_round(state, stream.task(t), inner, opt, spawn_rng_stream(seed, t))
-        except NumericError as exc:
-            if len(seeds) == 1:
-                raise
-            raise NumericError(f"run {r} (seed {seed}): {exc}") from exc
-
-
-def _runs_window_sum(window: SmoothingWindow, rows: np.ndarray, runs: int) -> np.ndarray:
-    """_weighted_row_sum over the ring's (occupied, R*d) rows, as each run's
-    own window would sum its (occupied, d) rows.
-
-    numpy sums a single column pairwise but a wider block row by row, so a
-    batch of one-coordinate runs sums each run's column as a contiguous row.
-    """
-    if rows.shape[1] == runs > 1:
-        cols = np.ascontiguousarray(rows.T)
-        if window.alpha == 1.0:
-            return cols.sum(axis=1)
-        return (window.weights[: len(rows)] * cols).sum(axis=1)
-    return _weighted_row_sum(window.alpha, window.weights, rows)
+def _replay_run(streams, seeds, r, t, inner, opt, x0) -> None:
+    """Replay rounds 1..t of run r through run_round, which raises round t's
+    NumericError; prefixed with the run's index and seed when R > 1."""
+    stream, seed = streams[r], seeds[r]
+    state = make_meta_state(x0, opt)
+    try:
+        for s in range(1, t + 1):
+            run_round(state, stream.task(s), inner, opt, spawn_rng_stream(seed, s))
+    except NumericError as exc:
+        if len(seeds) == 1:
+            raise
+        raise NumericError(f"run {r} (seed {seed}): {exc}") from exc
+    raise RuntimeError(f"run {r} failed round {t} in the array loop but not in run_round")
 
 
 def _play_sine_streams(streams, T, inner, opt, seeds, x0) -> dict:
@@ -399,12 +382,13 @@ def _play_sine_streams(streams, T, inner, opt, seeds, x0) -> dict:
     Performs the floating-point operations of inner_adapt,
     RoundLoss.value_and_grad (as sine_round_rows), SmoothingWindow.push,
     smoothed_stochastic_gradient and dts_ag_step in their order, so each
-    run's rows equal the round-by-round path bit for bit; a round that fails
-    the loop's one finiteness check is replayed through run_round, which
-    raises its errors. One Philox is re-keyed to (seed, t) for each run's
-    round; a round's adaptation draw and window draw come from one call,
-    which yields the same sequence as two. The window ring holds one (R*d)-wide
-    row per round. Returns the trace arrays with the runs first.
+    run's rows equal the round-by-round path bit for bit; the lowest run
+    with a non-finite entry in a round is replayed through run_round from
+    round 1, which raises its errors. One Philox is re-keyed to (seed, t)
+    for each run's round; a round's adaptation draw and window draw come
+    from one call, which yields the same sequence as two. One
+    SmoothingWindow holds the R runs side by side, one (R*d)-wide row per
+    round. Returns the trace arrays with the runs first.
     """
     R, d, w = len(streams), streams[0].dim, opt.window
     A = np.empty((T, R, d))  # round t's rows at t - 1
@@ -443,20 +427,18 @@ def _play_sine_streams(streams, T, inner, opt, seeds, x0) -> dict:
         # SmoothingWindow.push, its checks made below
         window._store(g.reshape(-1))
         # smoothed_stochastic_gradient
-        rows = window.gradient_matrix()
-        if noisy:
-            rows = rows + z[1:].reshape(occ, R * d)
-        gt = (_runs_window_sum(window, rows, R) / window.weight_sum).reshape(R, d)
+        gt = window.smoothed(z[1:].reshape(occ, R * d) if noisy else None, R).reshape(R, d)
         # dts_ag_step
-        m_new = beta1 * m + gt
-        v_new = beta2 * v + gt * gt
-        x_new = x - etas[i] * m_new / np.sqrt(eps + v_new)
+        m = beta1 * m + gt
+        v = beta2 * v + gt * gt
+        x_new = x - etas[i] * m / np.sqrt(eps + v)
         # a non-finite s, loss, gradient or g~ leaves nan in xhat or x_new, and
-        # an overflowed v is inf, so one sum finds every failure; the replay
-        # raises none when only the sum overflowed
-        if not math.isfinite(np.add.reduce(xhat + x_new + v_new, axis=None)):
-            _replay_round(streams, seeds, t, x, m, v, grads[max(0, t - w) : i], inner, opt)
-        m, v = m_new, v_new
+        # an overflowed v is inf, so one sum finds every failure; it also
+        # overflows when finite entries near the float limit add up
+        if not math.isfinite(np.add.reduce(xhat + x_new + v, axis=None)):
+            failed = np.flatnonzero(~np.isfinite([xhat, x_new, v]).all(axis=(0, 2)))
+            if failed.size:
+                _replay_run(streams, seeds, int(failed[0]), t, inner, opt, x0)
         iterates[i] = x
         adapted[i] = xhat
         losses[i] = val

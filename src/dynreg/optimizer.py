@@ -182,8 +182,10 @@ class SmoothingWindow:
     The gradients live in a (2w, dim) array allocated at the first push:
     the newest row goes to a falling head index, and once per w pushes the
     newest w - 1 rows are copied up, so the window is always the contiguous
-    block ring[head:head + occupied]. The array run loop fills the same
-    ring through _store, which skips push's checks.
+    block ring[head:head + occupied]. smoothed sums it. The array run loop
+    keeps R runs side by side in one window of (R*d)-wide rows: it fills
+    the ring through _store, which skips push's checks, and sums it with
+    smoothed(noise, R).
     """
 
     def __init__(self, alpha: float, window: int):
@@ -240,6 +242,29 @@ class SmoothingWindow:
             raise DimensionError("window is empty; push at least one round first")
         return self._ring[self._head : self._head + self._occupied]
 
+    def smoothed(self, noise: Optional[np.ndarray] = None, runs: int = 1) -> np.ndarray:
+        """(1/W) sum_r alpha^r (g_r + noise_r) over the occupied slots.
+
+        noise, when given, has the shape of gradient_matrix(), one row per
+        slot, newest first. runs counts the runs the window holds side by
+        side, each owning an equal contiguous block of every row. Each run's
+        block of the result equals its own window's sum bit for bit: numpy
+        sums a single column pairwise but a wider block row by row, so a
+        batch of one-coordinate runs sums each run's column as a contiguous
+        row.
+        """
+        rows = self.gradient_matrix()
+        if noise is not None:
+            rows = rows + noise
+        if rows.shape[1] == runs > 1:
+            cols = np.ascontiguousarray(rows.T)
+            if self.alpha != 1.0:
+                cols = self.weights[: len(rows)] * cols
+            total = cols.sum(axis=1)
+        else:
+            total = _weighted_row_sum(self.alpha, self.weights, rows)
+        return total / self.weight_sum
+
 
 def smoothed_stochastic_gradient(
     window: SmoothingWindow, noise: NoiseModel, rng: RngStream
@@ -250,10 +275,10 @@ def smoothed_stochastic_gradient(
     draw (one batched draw per call, newest slot first); the weighted sum is
     divided by the full-window W even when history is short.
     """
-    G = window.gradient_matrix()
-    if not noise.is_exact:
-        G = G + noise.draw(rng, G.shape[1], reps=G.shape[0])
-    return _weighted_row_sum(window.alpha, window.weights, G) / window.weight_sum
+    if noise.is_exact:
+        return window.smoothed()
+    occupied, dim = window.gradient_matrix().shape
+    return window.smoothed(noise.draw(rng, dim, reps=occupied))
 
 
 def step_size_at(config: OptimizerConfig, t: int) -> float:

@@ -285,8 +285,8 @@ class SineStream:
     The drifting family is the walk with one-round segments and step
     drift_rate, the piecewise family the walk with step jump_scale; the
     family names the step in errors and in spec(). step = 0 freezes the
-    walk, giving a stationary stream. make_drifting_sine_stream and
-    make_piecewise_drift_stream build it.
+    walk, giving a stationary stream. make_drifting_sine_stream,
+    make_piecewise_drift_stream and ExperimentConfig.stream build it.
     """
 
     def __init__(self, family, dim, segment_length, step, amplitude, freq_scale, noise, seed):

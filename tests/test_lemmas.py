@@ -211,7 +211,7 @@ def test_corruption_fails_every_check_of_every_mc_part(part):
 
 @pytest.mark.parametrize("config", _DRIFT_CONFIGS, ids=str)
 def test_corruption_fails_every_drift_config(config):
-    assert any(part.violations for part in _drift_config(0, SELF_TEST_SCALE, *config))
+    assert any(part.violations for part in _drift_config(SELF_TEST_SCALE, *config))
 
 
 def test_mc_exceedance_equals_the_per_round_reference():

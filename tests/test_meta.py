@@ -318,6 +318,46 @@ def test_a_run_whose_only_overflow_is_the_check_sum_plays_to_the_end(seeds):
             assert np.array_equal(trace.smoothed_grads[i], rec.smoothed_grad)
 
 
+def test_a_check_sum_overflow_alone_replays_no_round(monkeypatch):
+    # the shape above as a batch of two: every round's one-sum check
+    # overflows, every entry stays finite, so no run is replayed
+    calls = []
+    monkeypatch.setattr(dynreg.meta, "run_round", lambda *args: calls.append(args))
+    stream = make_drifting_sine_stream(
+        dim=1, drift_rate=0.05, noise=NoiseModel(GAUSSIAN, sigma=0.5), seed=3
+    )
+    inner = InnerAdaptConfig(theta=0.05, train_batch=1)
+    opt = make_config_adagrad(eta=0.2, alpha=1.0, window=4)
+    traces = run_streams([stream] * 2, 12, inner, opt, [2, 3], np.full(1, 1e308))
+    assert calls == []
+    assert all(trace.iterates[-1, 0] > 1e307 for trace in traces)
+
+
+def test_a_batch_reports_the_lowest_failed_run_not_the_lowest_overflowed_sum():
+    # at x0 = 1e308 run 0's adapted point and iterate are finite but add up
+    # past the float limit; run 1's sine argument overflows
+    noise = NoiseModel(GAUSSIAN, sigma=0.5)
+    inner = InnerAdaptConfig(theta=0.05, train_batch=1)
+    opt = make_config_adagrad(eta=0.2, alpha=1.0, window=4)
+    x0 = np.full(1, 1e308)
+    streams = [
+        make_drifting_sine_stream(dim=1, freq_scale=scale, drift_rate=0.05, noise=noise, seed=s)
+        for scale, s in ((1e-300, 1), (1e3, 2))
+    ]
+    assert run_stream(streams[0], 5, inner, opt, seed=1, x0=x0).iterates[-1, 0] > 1e307
+    batch = _numeric_error(lambda: run_streams(streams, 5, inner, opt, [1, 2], x0))
+    assert batch == "run 1 (seed 2): round 1 produced a non-finite sine argument <a, x> + b"
+
+
+def test_a_failed_round_that_run_round_plays_through_is_an_internal_error(monkeypatch):
+    monkeypatch.setattr(dynreg.meta, "run_round", lambda state, *args: (state, None))
+    stream = make_drifting_sine_stream(dim=1, freq_scale=1e3, noise=NoiseModel(EXACT), seed=2)
+    inner = InnerAdaptConfig(theta=0.05)
+    opt = make_config_adagrad(eta=0.2, alpha=1.0, window=4)
+    with pytest.raises(RuntimeError, match="run 0 failed round 1 in the array loop"):
+        run_stream(stream, 5, inner, opt, seed=2, x0=np.full(1, 1e308))
+
+
 def _numeric_error(fn) -> str:
     with pytest.raises(NumericError) as info:
         fn()

@@ -211,6 +211,30 @@ def test_alpha_one_row_sum_equals_the_weighted_sum_bit_for_bit(occ, dim):
         assert _weighted_row_sum(1.0, weights, rows).tobytes() == expected.tobytes()
 
 
+@pytest.mark.parametrize("noisy", [False, True])
+@pytest.mark.parametrize("alpha", [1.0, 0.9])
+@pytest.mark.parametrize("dim", [1, 3])
+def test_a_batch_window_sums_each_run_as_its_own_window(dim, alpha, noisy):
+    # R runs side by side in (R*dim)-wide rows; numpy sums a lone column
+    # pairwise but a block of rows row by row, which the one-coordinate
+    # batch must not do
+    runs, w = 4, 64
+    rng = spawn_rng_stream(0, 12)
+    batch = SmoothingWindow(alpha, w)
+    own = [SmoothingWindow(alpha, w) for _ in range(runs)]
+    for _ in range(w + 9):
+        row = rng.standard_normal(runs * dim) * np.logspace(-8, 8, runs * dim)
+        batch.push(np.zeros(runs * dim), _FixedGrad(row))
+        for r, win in enumerate(own):
+            win.push(np.zeros(dim), _FixedGrad(row[r * dim : (r + 1) * dim]))
+        noise = rng.standard_normal((batch.occupied, runs * dim)) if noisy else None
+        out = batch.smoothed(noise, runs)
+        for r, win in enumerate(own):
+            cols = slice(r * dim, (r + 1) * dim)
+            expected = win.smoothed(None if noise is None else noise[:, cols])
+            assert out[cols].tobytes() == expected.tobytes()
+
+
 def test_smoothed_gradient_short_history_damped():
     win = SmoothingWindow(1.0, 4)
     win.push(np.array([0.0]), _FixedGrad([2.0]))
