@@ -122,26 +122,23 @@ def _cmd_run(args) -> int:
 
 def _cmd_bounds(args) -> int:
     cfg = load_config(args.config, args.set or ())
-    out_dir = _out_dir(args.out, cfg)
     st = cfg.raw["stream"]
     constants = loss_constants(float(st["amplitude"]), float(st["freq_scale"]))
     opt = cfg.optimizer()
     noise = cfg.noise_model()
     theta = cfg.inner().theta
+    reports = []
     for theorem in cfg.bounds_list():
         kind, _, tail = theorem.partition("-")
         fn = bound_expectation if tail == "expectation" else bound_highprob
         report = fn(
-            kind,
-            opt,
-            noise,
-            constants,
-            theta,
-            cfg.horizon,
-            cfg.dim,
-            cfg.delta,
+            kind, opt, noise, constants, theta, cfg.horizon, cfg.dim, cfg.delta,
             varsigma=cfg.varsigma,
         )
+        reports.append((theorem, report))
+    # every theorem is evaluated before the output directory is made
+    out_dir = _out_dir(args.out, cfg)
+    for theorem, report in reports:
         record = report.to_record()
         record["config"] = cfg.snapshot()
         path = out_dir / f"bound_{theorem}.json"
@@ -152,8 +149,10 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_verify_lemmas(args) -> int:
-    out = _out_dir(args.out, load_config(args.config, args.set or ()))
+    cfg = load_config(args.config, args.set or ())
+    # run_checks refuses a bad self-test id before it runs anything
     results = run_checks(args.preset, corrupt=args.self_test_corrupt)
+    out = _out_dir(args.out, cfg)
     artifact = {
         "preset": args.preset,
         "corrupt": args.self_test_corrupt,

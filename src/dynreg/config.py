@@ -18,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from .meta import THETA_RANGE, InnerAdaptConfig
-from .numerics import ConfigError, _check_key_part, check_int, check_real
+from .numerics import ConfigError, _check_key_part, check_int, check_one_of, check_real
 from .optimizer import (
     ALPHA_RANGE,
     BETA1_RANGE,
@@ -27,13 +27,13 @@ from .optimizer import (
     make_config_adagrad,
     make_config_adam,
 )
-from .regret import ADAGRAD, ADAM, DELTA_RANGE, THEOREMS
+from .regret import _PRESETS, ADAGRAD, ADAM, DELTA_RANGE, THEOREMS
 from .tasks import (
+    _FAMILIES,
     _KINDS,
     DRIFTING,
     EXACT,
     GAUSSIAN,
-    PIECEWISE,
     SIGMA_RANGE,
     STEP_RANGE,
     NoiseModel,
@@ -42,46 +42,95 @@ from .tasks import (
 
 __all__ = ["DEFAULTS", "ExperimentConfig", "load_config", "default_config"]
 
-DEFAULTS: dict = {
-    "horizon": 500,
-    "dim": 10,
-    "delta": 0.1,
-    "seeds": [0],
-    "out_dir": None,
-    "bounds": None,
-    "init": None,
-    "stream": {
-        "family": DRIFTING,
-        "amplitude": 1.0,
-        "freq_scale": 1.0,
-        "drift_rate": 0.05,
-        "segment_length": 50,
-        "jump_scale": 0.5,
-        "seed": None,
-    },
-    "noise": {
-        "kind": GAUSSIAN,
-        "sigma": 0.5,
-        "kappa": None,
-    },
-    "adapt": {
-        "theta": 0.05,
-        "train_batch": 32,
-    },
-    "optimizer": {
-        "preset": ADAGRAD,
-        "eta": 0.1,
-        "beta1": 0.9,
-        "beta2": 0.999,
-        "epsilon": 1e-8,
-        "varsigma": None,
-    },
-    "smoothing": {
-        "alpha": 1.0,
-        "window": 16,
-        "window_fraction": None,
-    },
-}
+
+def _or_null(key: str, value, rule, *args):
+    """None for a null value, else rule(key, value, *args)."""
+    return None if value is None else rule(key, value, *args)
+
+
+def _check_str(key: str, value) -> str:
+    if not isinstance(value, str):
+        raise ConfigError(f"{key} must be a string or null, got {value!r}")
+    return value
+
+
+def _check_theorem_id(key: str, value) -> str:
+    if value not in THEOREMS:
+        raise ConfigError(f"bounds must name ids in {THEOREMS}, got unknown theorem id {value!r}")
+    return value
+
+
+def _check_entries(key: str, value, what: str, rule, *args) -> list:
+    """value, a non-empty list whose entries pass rule(f"{key}[i]", entry, *args);
+    else a ConfigError with one line per failing entry."""
+    if not isinstance(value, list) or not value:
+        raise ConfigError(f"{key} must be {what}, got {value!r}")
+    errors = []
+    for i, entry in enumerate(value):
+        try:
+            rule(f"{key}[{i}]", entry, *args)
+        except ConfigError as exc:
+            errors.append(str(exc))
+    if errors:
+        raise ConfigError("\n".join(errors))
+    return value
+
+
+# One row per key, in the order its errors are listed: (dotted key, default,
+# rule, *args); rule(key, value, *args) returns the checked value or raises.
+# A parameter takes the library's rule (check_real's default interval is the
+# positive reals); window_fraction, seeds, out_dir, bounds and init are the
+# loader's own. A key whose default is None may be null; so may the window.
+_SCHEMA = (
+    ("horizon", 500, check_int),
+    ("dim", 10, check_int),
+    ("delta", 0.1, check_real, DELTA_RANGE),
+    ("stream.amplitude", 1.0, check_real),
+    ("stream.freq_scale", 1.0, check_real),
+    ("stream.drift_rate", 0.05, check_real, STEP_RANGE),
+    ("stream.segment_length", 50, check_int),
+    ("stream.jump_scale", 0.5, check_real, STEP_RANGE),
+    ("stream.seed", None, _check_key_part),
+    ("noise.sigma", 0.5, check_real, SIGMA_RANGE),
+    ("noise.kappa", None, check_real),
+    ("adapt.theta", 0.05, check_real, THETA_RANGE),
+    ("adapt.train_batch", 32, check_int),
+    ("optimizer.eta", 0.1, check_real),
+    ("optimizer.epsilon", 1e-8, check_real),
+    ("optimizer.beta1", 0.9, check_real, BETA1_RANGE),
+    ("optimizer.beta2", 0.999, check_real, BETA2_RANGE),
+    ("optimizer.varsigma", None, check_real),
+    ("smoothing.alpha", 1.0, check_real, ALPHA_RANGE),
+    ("smoothing.window", 16, _or_null, check_int),
+    ("smoothing.window_fraction", None, check_real, (0.0, 1.0, "(]")),
+    ("seeds", [0], _check_entries, "a non-empty list of seeds", _check_key_part),
+    ("out_dir", None, _check_str),
+    ("bounds", None, _check_entries, "null or a non-empty list of theorem ids", _check_theorem_id),
+    ("init", None, _check_entries, "null or a non-empty list of finite numbers",
+     check_real, (-math.inf, math.inf, "()")),
+    ("stream.family", DRIFTING, check_one_of, _FAMILIES),
+    ("noise.kind", GAUSSIAN, check_one_of, _KINDS),
+    ("optimizer.preset", ADAGRAD, check_one_of, _PRESETS),
+)
+_KEYS = {row[0] for row in _SCHEMA}
+_SECTIONS = {key.rpartition(".")[0] for key in _KEYS} - {""}
+
+
+def _node(cfg: dict, key: str):
+    """The dict that holds the dotted key's leaf, and the leaf."""
+    section, _, leaf = key.rpartition(".")
+    return (cfg[section] if section else cfg), leaf
+
+
+def _defaults() -> dict:
+    out: dict = {}
+    for key, default, *_ in _SCHEMA:
+        section, _, leaf = key.rpartition(".")
+        (out.setdefault(section, {}) if section else out)[leaf] = default
+    return out
+
+
+DEFAULTS: dict = _defaults()
 
 
 def default_config() -> dict:
@@ -105,108 +154,34 @@ def _merge(base: dict, override: dict, path: str, errors: list) -> None:
 
 
 def _set_path(cfg: dict, dotted: str, value, errors: list) -> None:
-    parts = dotted.split(".")
-    node = cfg
-    for part in parts[:-1]:
-        if not isinstance(node, dict) or part not in node:
-            errors.append(f"{dotted}: unknown key")
-            return
-        node = node[part]
-    leaf = parts[-1]
-    if not isinstance(node, dict) or leaf not in node:
-        errors.append(f"{dotted}: unknown key")
-        return
-    if isinstance(node[leaf], dict):
+    if dotted in _SECTIONS:
         errors.append(f"{dotted}: cannot assign to an object")
-        return
-    node[leaf] = value
-
-
-# Each key checked by the library's rule for its parameter, named by its
-# dotted path: check_int, the seed rule, or check_real over the interval the
-# library states (none: the positive reals, check_real's default).
-# window_fraction is the loader's own key. The keys in _NULLABLE may be null.
-_KEY_RULES = (
-    ("horizon", check_int),
-    ("dim", check_int),
-    ("delta", check_real, DELTA_RANGE),
-    ("stream.amplitude", check_real),
-    ("stream.freq_scale", check_real),
-    ("stream.drift_rate", check_real, STEP_RANGE),
-    ("stream.segment_length", check_int),
-    ("stream.jump_scale", check_real, STEP_RANGE),
-    ("stream.seed", _check_key_part),
-    ("noise.sigma", check_real, SIGMA_RANGE),
-    ("noise.kappa", check_real),
-    ("adapt.theta", check_real, THETA_RANGE),
-    ("adapt.train_batch", check_int),
-    ("optimizer.eta", check_real),
-    ("optimizer.epsilon", check_real),
-    ("optimizer.beta1", check_real, BETA1_RANGE),
-    ("optimizer.beta2", check_real, BETA2_RANGE),
-    ("optimizer.varsigma", check_real),
-    ("smoothing.alpha", check_real, ALPHA_RANGE),
-    ("smoothing.window", check_int),
-    ("smoothing.window_fraction", check_real, (0.0, 1.0, "(]")),
-)
-_NULLABLE = {
-    "stream.seed", "noise.kappa", "optimizer.varsigma", "smoothing.window",
-    "smoothing.window_fraction",
-}
+    elif dotted not in _KEYS:
+        errors.append(f"{dotted}: unknown key")
+    else:
+        parent, leaf = _node(cfg, dotted)
+        parent[leaf] = value
 
 
 def _validate(cfg: dict) -> list:
     """Every error in cfg, each naming its key and value."""
     e: list = []
-
-    def check(key, value, rule, *args):
-        """rule(key, value, *args), or None with its error recorded."""
+    ok = {}  # each key's checked value, None where its rule failed
+    for key, default, rule, *args in _SCHEMA:
+        parent, leaf = _node(cfg, key)
+        value = parent[leaf]
+        if value is None and default is None:
+            continue
         try:
-            return rule(key, value, *args)
+            ok[key] = rule(key, value, *args)
         except ConfigError as exc:
-            e.append(str(exc))
+            ok[key] = None
+            e.extend(str(exc).split("\n"))
+        # init's length is checked at its row, so its error keeps its place
+        if key == "init" and isinstance(value, list) and value:
+            if ok["dim"] not in (None, len(value)):
+                e.append(f"init must have dim = {ok['dim']} entries, got {len(value)}")
 
-    ok = {}  # the checked value of each key that passed its rule
-    for key, rule, *args in _KEY_RULES:
-        section, _, leaf = key.rpartition(".")
-        value = (cfg[section] if section else cfg)[leaf]
-        if value is not None or key not in _NULLABLE:
-            ok[key] = check(key, value, rule, *args)
-
-    seeds = cfg["seeds"]
-    if isinstance(seeds, list) and seeds:
-        for i, seed in enumerate(seeds):
-            check(f"seeds[{i}]", seed, _check_key_part)
-    else:
-        e.append(f"seeds must be a non-empty list of seeds, got {seeds!r}")
-    if not (cfg["out_dir"] is None or isinstance(cfg["out_dir"], str)):
-        e.append(f"out_dir must be a string or null, got {cfg['out_dir']!r}")
-    bounds = cfg["bounds"]
-    if bounds is not None:
-        if not isinstance(bounds, list) or not bounds:
-            e.append(f"bounds must be null or a non-empty list of theorem ids, got {bounds!r}")
-        else:
-            for b in bounds:
-                if b not in THEOREMS:
-                    e.append(f"bounds must name ids in {THEOREMS}, got unknown theorem id {b!r}")
-    init = cfg["init"]
-    if init is not None:
-        if not isinstance(init, list) or not init:
-            e.append(f"init must be null or a non-empty list of finite numbers, got {init!r}")
-        else:
-            for i, v in enumerate(init):
-                check(f"init[{i}]", v, check_real, (-math.inf, math.inf, "()"))
-            if ok["dim"] is not None and len(init) != ok["dim"]:
-                e.append(f"init must have dim = {ok['dim']} entries, got {len(init)}")
-
-    for key, names in (
-        ("stream.family", (DRIFTING, PIECEWISE)),
-        ("noise.kind", _KINDS),
-        ("optimizer.preset", (ADAGRAD, ADAM)),
-    ):
-        section, _, leaf = key.rpartition(".")
-        if cfg[section][leaf] not in names:
-            e.append(f"{key} must be one of {names}, got {cfg[section][leaf]!r}")
     sigma, kind = ok["noise.sigma"], cfg["noise"]["kind"]
     if sigma is not None and (kind == EXACT) != (sigma == 0.0):
         need = "0 for exact noise" if kind == EXACT else f"> 0 for {kind} noise"

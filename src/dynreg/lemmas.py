@@ -21,7 +21,7 @@ from typing import Optional
 import numpy as np
 
 from .meta import InnerAdaptConfig, RoundLoss, RunTrace, run_streams
-from .numerics import ConfigError, spawn_rng_stream
+from .numerics import ConfigError, check_one_of, spawn_rng_stream
 from .optimizer import alpha_weights, make_config_adagrad, weight_sum_W
 from .regret import _window_sums, variance_proxy
 from .tasks import (
@@ -518,15 +518,19 @@ def _mc_suite(rhs_scale: float) -> LemmaCheckResult:
     return merged
 
 
-QUICK_IDS = (
-    "geom-sqrt-sum",
-    "geom-three-halves-sum",
-    "sum-ratio",
-    "sum-ratio-momentum",
-    "quadratic-root",
-    "inv-sqrt-geom",
-)
-FULL_IDS = QUICK_IDS + ("objective-drift", "smoothed-gradient-mc")
+# lemma id -> check(rhs_scale); the two trace-backed suites come last, full preset only
+_CHECKS = {
+    "geom-sqrt-sum": check_geom_sqrt_sum,
+    "geom-three-halves-sum": check_geom_32_sum,
+    "sum-ratio": check_sum_ratio,
+    "sum-ratio-momentum": check_sum_ratio_momentum,
+    "quadratic-root": check_quadratic,
+    "inv-sqrt-geom": check_inv_sqrt_geom,
+    "objective-drift": _drift_suite,
+    "smoothed-gradient-mc": _mc_suite,
+}
+FULL_IDS = tuple(_CHECKS)
+QUICK_IDS = FULL_IDS[:6]
 
 
 SELF_TEST_SCALE = 0.02
@@ -542,23 +546,7 @@ def run_checks(preset: str = "quick", corrupt: str = None):
     every lemma id, and every drift config, fails at that scale (at 0.1 the
     two widest drift windows do not).
     """
-    if preset not in ("quick", "full"):
-        raise ConfigError(f"preset must be quick or full, got {preset!r}")
-    ids = QUICK_IDS if preset == "quick" else FULL_IDS
+    ids = QUICK_IDS if check_one_of("preset", preset, ("quick", "full")) == "quick" else FULL_IDS
     if corrupt is not None and corrupt not in ids:
         raise ConfigError(f"unknown lemma id {corrupt!r}; expected one of {ids}")
-
-    def scale(lemma_id: str) -> float:
-        return SELF_TEST_SCALE if corrupt == lemma_id else 1.0
-
-    runners = {
-        "geom-sqrt-sum": lambda: check_geom_sqrt_sum(scale("geom-sqrt-sum")),
-        "geom-three-halves-sum": lambda: check_geom_32_sum(scale("geom-three-halves-sum")),
-        "sum-ratio": lambda: check_sum_ratio(scale("sum-ratio")),
-        "sum-ratio-momentum": lambda: check_sum_ratio_momentum(scale("sum-ratio-momentum")),
-        "quadratic-root": lambda: check_quadratic(scale("quadratic-root")),
-        "inv-sqrt-geom": lambda: check_inv_sqrt_geom(scale("inv-sqrt-geom")),
-        "objective-drift": lambda: _drift_suite(scale("objective-drift")),
-        "smoothed-gradient-mc": lambda: _mc_suite(scale("smoothed-gradient-mc")),
-    }
-    return [runners[lemma_id]() for lemma_id in ids]
+    return [_CHECKS[i](SELF_TEST_SCALE if i == corrupt else 1.0) for i in ids]

@@ -17,6 +17,7 @@ __all__ = [
     "VerificationError",
     "as_vector",
     "check_int",
+    "check_one_of",
     "check_real",
     "geometric_sum",
     "RngStream",
@@ -102,6 +103,13 @@ def check_real(name: str, value, interval: tuple = POSITIVE) -> float:
     if (low < x or (ends[0] == "[" and x == low)) and (x < high or (ends[1] == "]" and x == high)):
         return x
     raise ConfigError(f"{name} must be in {ends[0]}{low:g}, {high:g}{ends[1]}, got {value!r}")
+
+
+def check_one_of(name: str, value, names: tuple):
+    """value if it is one of names, else a ConfigError listing them."""
+    if value in names:
+        return value
+    raise ConfigError(f"{name} must be one of {names}, got {value!r}")
 
 
 _UINT64_SPAN = 1 << 64

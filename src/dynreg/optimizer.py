@@ -29,6 +29,7 @@ from .numerics import (
     RngStream,
     as_vector,
     check_int,
+    check_one_of,
     check_real,
     geometric_sum,
 )
@@ -80,8 +81,7 @@ class OptimizerConfig:
         check_real("beta2", self.beta2, BETA2_RANGE)
         if not self.beta1 < self.beta2:
             raise ConfigError(f"need beta1 < beta2, got beta1={self.beta1}, beta2={self.beta2}")
-        if self.schedule not in _SCHEDULES:
-            raise ConfigError(f"schedule must be one of {_SCHEDULES}, got {self.schedule!r}")
+        check_one_of("schedule", self.schedule, _SCHEDULES)
         if self.schedule == ADAM_SCHEDULE and not (0.0 < self.beta1 < self.beta2 < 1.0):
             raise ConfigError(
                 "the increasing-step schedule requires 0 < beta1 < beta2 < 1, "

@@ -26,7 +26,7 @@ from typing import Optional
 import numpy as np
 
 from .meta import THETA_RANGE, RunTrace
-from .numerics import ConfigError, NumericError, check_int, check_real, geometric_sum
+from .numerics import ConfigError, NumericError, check_int, check_one_of, check_real, geometric_sum
 from .optimizer import (
     ADAM_SCHEDULE,
     CONSTANT,
@@ -57,6 +57,7 @@ __all__ = [
 
 ADAGRAD = "adagrad"
 ADAM = "adam"
+_PRESETS = (ADAGRAD, ADAM)
 THEOREMS = (
     "adagrad-expectation",
     "adam-expectation",
@@ -332,21 +333,18 @@ def _bound(kind, highprob, opt, noise, constants, theta, horizon, dim, delta, va
     probability, where a deviation term also joins C. The preset (kind) sets
     varpi1, varpi2, the log term and the right-hand side.
     """
-    if kind == ADAGRAD:
+    if check_one_of("theorem kind", kind, _PRESETS) == ADAGRAD:
         if not (opt.beta1 == 0.0 and opt.beta2 == 1.0 and opt.schedule == CONSTANT):
             raise ConfigError(
                 "the accumulating-preset bounds require beta1=0, beta2=1 and a "
                 f"constant step size; got beta1={opt.beta1}, beta2={opt.beta2}, "
                 f"schedule={opt.schedule}"
             )
-    elif kind == ADAM:
-        if opt.schedule != ADAM_SCHEDULE:
-            raise ConfigError(
-                "the momentum-preset bounds require the increasing step-size "
-                f"schedule; got schedule={opt.schedule}"
-            )
-    else:
-        raise ConfigError(f"theorem kind must be '{ADAGRAD}' or '{ADAM}', got {kind!r}")
+    elif opt.schedule != ADAM_SCHEDULE:
+        raise ConfigError(
+            "the momentum-preset bounds require the increasing step-size "
+            f"schedule; got schedule={opt.schedule}"
+        )
     T = check_int("horizon", horizon)
     d = check_int("dim", dim)
     delta = check_real("delta", delta, DELTA_RANGE)

@@ -30,6 +30,7 @@ from .numerics import (
     RngStream,
     _check_key_part,
     check_int,
+    check_one_of,
     check_real,
     spawn_rng_stream,
 )
@@ -131,8 +132,7 @@ class NoiseModel:
     kappa: Optional[float] = None
 
     def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise ConfigError(f"noise kind must be one of {_KINDS}, got {self.kind!r}")
+        check_one_of("noise kind", self.kind, _KINDS)
         check_real("sigma", self.sigma, SIGMA_RANGE)
         if self.kind == EXACT and self.sigma != 0.0:
             raise ConfigError("exact noise requires sigma = 0")
@@ -274,6 +274,7 @@ def _unit(v: np.ndarray) -> np.ndarray:
 
 DRIFTING = "drifting-sine"
 PIECEWISE = "piecewise-sine"
+_FAMILIES = (DRIFTING, PIECEWISE)
 
 
 class SineStream:
@@ -290,8 +291,7 @@ class SineStream:
     """
 
     def __init__(self, family, dim, segment_length, step, amplitude, freq_scale, noise, seed):
-        if family not in (DRIFTING, PIECEWISE):
-            raise ConfigError(f"family must be {DRIFTING!r} or {PIECEWISE!r}, got {family!r}")
+        check_one_of("family", family, _FAMILIES)
         self.segment_length = check_int("segment_length", segment_length)
         if family == DRIFTING and self.segment_length != 1:
             raise ConfigError(f"segment_length must be 1 for {DRIFTING}, got {segment_length!r}")

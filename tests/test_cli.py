@@ -247,6 +247,19 @@ def test_bounds_rejects_a_mismatched_theorem(tmp_path, capsys):
     assert "schedule" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("settings", [
+    ('noise.kind="exact"', "noise.sigma=0", 'bounds=["adagrad-expectation","adagrad-highprob"]'),
+    ('bounds=["adagrad-expectation","adam-expectation"]',),
+])
+def test_bounds_evaluates_every_theorem_before_writing(tmp_path, capsys, settings):
+    # the first theorem is fine and the second is refused: nothing is written
+    out = tmp_path / "out"
+    rc = cli.main(["bounds", *FAST, *(a for s in settings for a in ("--set", s)), "--out", str(out)])
+    assert rc == 2
+    assert not out.exists()
+    assert capsys.readouterr().out == ""
+
+
 def test_bounds_exact_noise_skips_highprob(tmp_path):
     rc = cli.main(["bounds", *FAST, "--set", 'noise.kind="exact"',
                    "--set", "noise.sigma=0", "--out", str(tmp_path)])
@@ -277,6 +290,19 @@ def test_verify_lemmas_corruption_self_test_fails(tmp_path, capsys):
     assert "verification failure" in captured.err
     artifact = json.loads((tmp_path / "lemmas_quick.json").read_text())
     assert artifact["corrupt"] == "sum-ratio"
+
+
+@pytest.mark.parametrize("lemma_id", ["nosuch", "objective-drift"])
+def test_verify_lemmas_refuses_a_bad_self_test_id_before_writing(tmp_path, capsys, lemma_id):
+    # objective-drift is a lemma id of the full preset only
+    out = tmp_path / "out"
+    rc = cli.main(["verify-lemmas", "--preset", "quick", "--self-test-corrupt", lemma_id,
+                   "--out", str(out)])
+    assert rc == 2
+    assert not out.exists()
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"unknown lemma id {lemma_id!r}" in captured.err
 
 
 def test_verify_lemmas_validates_config_eagerly(tmp_path):

@@ -1,6 +1,7 @@
 """Configuration loading: defaults, overrides, validation, accessors."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -163,3 +164,135 @@ def test_config_file_round_trip(tmp_path):
     obj.write_text(json.dumps({"optimizer": 3}))
     with pytest.raises(ConfigError, match="expected an object"):
         load_config(str(obj))
+
+
+# the schema's defaults, written out so that a changed or dropped row shows
+PINNED_DEFAULTS = {
+    "horizon": 500,
+    "dim": 10,
+    "delta": 0.1,
+    "seeds": [0],
+    "out_dir": None,
+    "bounds": None,
+    "init": None,
+    "stream": {
+        "family": "drifting-sine",
+        "amplitude": 1.0,
+        "freq_scale": 1.0,
+        "drift_rate": 0.05,
+        "segment_length": 50,
+        "jump_scale": 0.5,
+        "seed": None,
+    },
+    "noise": {"kind": "gaussian", "sigma": 0.5, "kappa": None},
+    "adapt": {"theta": 0.05, "train_batch": 32},
+    "optimizer": {
+        "preset": "adagrad",
+        "eta": 0.1,
+        "beta1": 0.9,
+        "beta2": 0.999,
+        "epsilon": 1e-8,
+        "varsigma": None,
+    },
+    "smoothing": {"alpha": 1.0, "window": 16, "window_fraction": None},
+}
+
+KEYS = [
+    "horizon", "dim", "delta", "seeds", "out_dir", "bounds", "init",
+    "stream.family", "stream.amplitude", "stream.freq_scale", "stream.drift_rate",
+    "stream.segment_length", "stream.jump_scale", "stream.seed",
+    "noise.kind", "noise.sigma", "noise.kappa",
+    "adapt.theta", "adapt.train_batch",
+    "optimizer.preset", "optimizer.eta", "optimizer.beta1", "optimizer.beta2",
+    "optimizer.epsilon", "optimizer.varsigma",
+    "smoothing.alpha", "smoothing.window", "smoothing.window_fraction",
+]
+NULLABLE = {
+    "stream.seed", "noise.kappa", "optimizer.varsigma", "smoothing.window",
+    "smoothing.window_fraction",
+}
+LOADER_NULLABLE = {"out_dir", "bounds", "init"}  # the loader's own keys, null by default
+
+
+def _error_lines(sets) -> list:
+    with pytest.raises(ConfigError) as exc:
+        load_config(None, sets)
+    return [line.strip() for line in str(exc.value).splitlines()[1:]]
+
+
+def test_defaults_are_pinned():
+    assert DEFAULTS == PINNED_DEFAULTS
+    assert default_config() == PINNED_DEFAULTS
+
+
+def test_keys_list_every_default():
+    leaves = [f"{k}.{leaf}" for k, v in DEFAULTS.items() if isinstance(v, dict) for leaf in v]
+    top = [k for k, v in DEFAULTS.items() if not isinstance(v, dict)]
+    assert sorted(leaves + top) == sorted(KEYS)
+
+
+@pytest.mark.parametrize("key", KEYS)
+def test_every_key_refuses_a_bool_and_a_string(key):
+    for value in ("true", '"text"'):
+        if key == "out_dir" and value == '"text"':
+            continue  # a directory name is a string
+        lines = _error_lines((f"{key}={value}",))
+        assert any(line.startswith(f"{key} must ") for line in lines), (value, lines)
+
+
+@pytest.mark.parametrize("key", KEYS)
+def test_only_the_nullable_keys_accept_null(key):
+    # the window may be null only when its fraction is set
+    extra = ("smoothing.window_fraction=0.5",) if key == "smoothing.window" else ()
+    sets = (f"{key}=null", *extra)
+    if key in NULLABLE | LOADER_NULLABLE:
+        load_config(None, sets)
+    else:
+        lines = _error_lines(sets)
+        assert any(line.startswith(f"{key} must ") for line in lines), lines
+
+
+def test_combined_errors_keep_their_order():
+    lines = _error_lines((
+        'stream.family="x"', "seeds=[1.5]", "out_dir=3", 'noise.kind="y"', "init=[1]",
+        'optimizer.preset="z"', "smoothing.window=null", "noise.sigma=0",
+    ))
+    assert lines == [
+        "seeds[0] must be an integer >= 0, got 1.5",
+        "out_dir must be a string or null, got 3",
+        "init must have dim = 10 entries, got 1",
+        "stream.family must be one of ('drifting-sine', 'piecewise-sine'), got 'x'",
+        "noise.kind must be one of ('exact', 'gaussian', 'subgaussian'), got 'y'",
+        "optimizer.preset must be one of ('adagrad', 'adam'), got 'z'",
+        "noise.sigma must be > 0 for y noise, got 0.0",
+        "smoothing.window / smoothing.window_fraction: exactly one must be set, "
+        "got None and None",
+    ]
+
+
+def test_list_keys_name_each_failing_entry():
+    lines = _error_lines(('bounds=["x", "adam-highprob", 3]', "init=[1, true, null]",
+                          "seeds=[0, -1, 2.5]"))
+    theorems = "('adagrad-expectation', 'adam-expectation', 'adagrad-highprob', 'adam-highprob')"
+    assert lines == [
+        "seeds[1] must be an integer >= 0, got -1",
+        "seeds[2] must be an integer >= 0, got 2.5",
+        f"bounds must name ids in {theorems}, got unknown theorem id 'x'",
+        f"bounds must name ids in {theorems}, got unknown theorem id 3",
+        "init[1] must be in (-inf, inf), got True",
+        "init[2] must be in (-inf, inf), got None",
+        "init must have dim = 10 entries, got 3",
+    ]
+
+
+def test_readme_key_table_matches_the_defaults():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    table = readme.split("Selected keys, with defaults:")[1].split("\n\n")[1]
+    rows = [line.split("|")[1:3] for line in table.splitlines()[2:]]
+    assert rows
+    for key, default in rows:
+        key, default = key.strip().strip("`"), default.strip()
+        section, _, leaf = key.rpartition(".")
+        expected = (DEFAULTS[section] if section else DEFAULTS)[leaf]
+        shown = default.strip("`") if default.startswith("`") else json.loads(default)
+        assert shown == expected and type(shown) is type(expected), (key, default)

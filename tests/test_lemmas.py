@@ -128,7 +128,7 @@ def test_merged_suites_keep_the_first_point_of_least_slack():
 
 
 def test_run_checks_validates_arguments():
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match=r"^preset must be one of \('quick', 'full'\), got 'medium'$"):
         run_checks("medium")
     with pytest.raises(ConfigError):
         run_checks("quick", corrupt="objective-drift")  # not in the quick preset
@@ -137,6 +137,8 @@ def test_run_checks_validates_arguments():
 
 
 def test_full_preset_extends_quick():
+    assert QUICK_IDS == ("geom-sqrt-sum", "geom-three-halves-sum", "sum-ratio",
+                         "sum-ratio-momentum", "quadratic-root", "inv-sqrt-geom")
     assert FULL_IDS[: len(QUICK_IDS)] == QUICK_IDS
     assert set(FULL_IDS) - set(QUICK_IDS) == {"objective-drift", "smoothed-gradient-mc"}
 

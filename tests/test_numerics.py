@@ -14,7 +14,7 @@ from dynreg import (
     RngStream,
     spawn_rng_stream,
 )
-from dynreg.numerics import as_vector
+from dynreg.numerics import as_vector, check_one_of
 
 
 def test_as_vector_accepts_lists_and_scalars():
@@ -22,6 +22,14 @@ def test_as_vector_accepts_lists_and_scalars():
     assert out.dtype == np.float64
     assert out.tolist() == [1.0, 2.5, -3.0]
     assert as_vector(4).tolist() == [4.0]
+
+
+def test_check_one_of_returns_a_listed_name_and_refuses_others():
+    assert check_one_of("kind", "b", ("a", "b")) == "b"
+    for bad in ("c", True, None, ["a"]):
+        with pytest.raises(ConfigError) as exc:
+            check_one_of("kind", bad, ("a", "b"))
+        assert str(exc.value) == f"kind must be one of ('a', 'b'), got {bad!r}"
 
 
 def test_as_vector_rejects_bad_shapes_and_values():
