@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ExperimentConfig, load_config
+from .config import ExperimentConfig, _check_distinct, load_config
 from .lemmas import run_checks
 from .meta import run_stream
 from .numerics import ConfigError, NumericError, VerificationError, _check_key_part, check_int
@@ -98,6 +98,7 @@ def _cmd_run(args) -> int:
         if not seeds:
             raise ConfigError("--seed-list must name at least one seed")
         seeds = [_check_key_part(f"--seed-list[{i}]", seed) for i, seed in enumerate(seeds)]
+        _check_distinct("--seed-list", seeds)
     elif args.seeds is not None:
         seeds = list(range(check_int("--seeds", args.seeds)))
     else:

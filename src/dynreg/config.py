@@ -76,11 +76,31 @@ def _check_entries(key: str, value, what: str, rule, *args) -> list:
     return value
 
 
+def _check_distinct(key: str, values) -> list:
+    """values, whose entries all differ; else a ConfigError with one line per
+    entry that repeats an earlier one."""
+    first: dict = {}
+    errors = []
+    for i, entry in enumerate(values):
+        j = first.setdefault(entry, i)
+        if j != i:
+            errors.append(f"{key}[{i}] must not repeat {key}[{j}], got {entry!r}")
+    if errors:
+        raise ConfigError("\n".join(errors))
+    return values
+
+
+def _check_distinct_entries(key: str, value, what: str, rule, *args) -> list:
+    """_check_entries for a list that names each run or report once."""
+    return _check_distinct(key, _check_entries(key, value, what, rule, *args))
+
+
 # One row per key, in the order its errors are listed: (dotted key, default,
 # rule, *args); rule(key, value, *args) returns the checked value or raises.
 # A parameter takes the library's rule (check_real's default interval is the
 # positive reals); window_fraction, seeds, out_dir, bounds and init are the
-# loader's own. A key whose default is None may be null; so may the window.
+# loader's own; seeds and bounds also refuse a repeated entry. A key whose
+# default is None may be null; so may the window.
 _SCHEMA = (
     ("horizon", 500, check_int),
     ("dim", 10, check_int),
@@ -103,9 +123,10 @@ _SCHEMA = (
     ("smoothing.alpha", 1.0, check_real, ALPHA_RANGE),
     ("smoothing.window", 16, _or_null, check_int),
     ("smoothing.window_fraction", None, check_real, (0.0, 1.0, "(]")),
-    ("seeds", [0], _check_entries, "a non-empty list of seeds", _check_key_part),
+    ("seeds", [0], _check_distinct_entries, "a non-empty list of seeds", _check_key_part),
     ("out_dir", None, _check_str),
-    ("bounds", None, _check_entries, "null or a non-empty list of theorem ids", _check_theorem_id),
+    ("bounds", None, _check_distinct_entries, "null or a non-empty list of theorem ids",
+     _check_theorem_id),
     ("init", None, _check_entries, "null or a non-empty list of finite numbers",
      check_real, (-math.inf, math.inf, "()")),
     ("stream.family", DRIFTING, check_one_of, _FAMILIES),

@@ -139,42 +139,83 @@ def _ledger(kind, w, alpha, weight_sum, per_round) -> RegretLedger:
     )
 
 
+def _window_rows(T: int, m: int, width: int):
+    """Rows to fill, shape (T, width), and the window view over them,
+    shape (T, m, width): view[t-1, r] is row t-1-r, newest first, and a zero
+    row where r >= t. Both read one buffer that starts with the m - 1 zero
+    rows; with m at most T it is under twice the rows."""
+    pad = np.zeros((T + m - 1, width))
+    step = pad.strides[0]
+    view = np.ndarray(
+        (T, m, width), buffer=pad, offset=(m - 1) * step, strides=(step, -step, pad.strides[1])
+    )
+    return pad[m - 1 :], view
+
+
 def _window_sums(G, w: int, alpha: float) -> np.ndarray:
     """The weighted window average of rows of G at every round, shape (T, d):
     row t-1 is (1/W) sum_{r<min(t,w)} alpha^r G[t-1-r]."""
-    G = np.ascontiguousarray(G, dtype=np.float64)
     T, d = G.shape
-    W = weight_sum_W(alpha, w)
-    padded = np.vstack([np.zeros((w - 1, d)), G])
-    win = np.lib.stride_tricks.sliding_window_view(padded, w, axis=0)  # (T, d, w)
-    # position k carries weight alpha^(w-1-k)
-    rev = np.ascontiguousarray(alpha_weights(alpha, w)[::-1])
-    return (win @ rev) / W
+    m = min(w, T)
+    rows, win = _window_rows(T, m, d)
+    rows[:] = G
+    # oldest first and (T, d, m), so the product reads each window forwards
+    rev = np.ascontiguousarray(alpha_weights(alpha, m)[::-1])
+    return (win[:, ::-1].transpose(0, 2, 1) @ rev) / weight_sum_W(alpha, w)
+
+
+# The static ledger takes its rounds in blocks of about this many (round,
+# lag) pairs, so that a block's temporaries stay cache-sized whatever the
+# horizon and window.
+_BLOCK_PAIRS = 1 << 14
 
 
 def _static_window_norms_sine(A, B, X, w: int, theta: float, D: float) -> np.ndarray:
     """Per-round squared norms of the plain window average of past composite
     gradients, all re-evaluated at the round's own iterate.
 
-    The loop runs over lags: lag r pairs round t - r's loss with iterate x_t
-    for every t > r at once, and adds into each round's gradient sum in lag
-    order. With s = <a, x> + b and U = x - theta D cos(s) a, the inner
-    argument is <a, U> + b = s - theta D cos(s) ||a||^2 and the gradient is
+    Pair (t, r) is round t - r's loss at iterate x_t. With s = <a, x> + b and
+    U = x - theta D cos(s) a, the inner argument is <a, U> + b =
+    s - theta D cos(s) ||a||^2 and the gradient is
     D cos(s2) (1 + theta D sin(s) ||a||^2) a, so U is never built.
+
+    A block of rounds reads the window view of the rows (a, b, ||a||^2)
+    and stops at its last round's lag count, so the padding costs the
+    transcendentals only a triangle per block in the first min(w, T)
+    rounds. Each round sums its pairs in lag order and then zero rows, so
+    its bits are those of the lag-by-lag sum, whatever the block edges or
+    the horizon.
     """
-    A = np.ascontiguousarray(A, dtype=np.float64)
-    B = np.ascontiguousarray(B, dtype=np.float64)
     X = np.ascontiguousarray(X, dtype=np.float64)
-    T = X.shape[0]
+    T, d = X.shape
+    m = min(w, T)
     thD = theta * D
-    norms = np.einsum("td,td->t", A, A)
-    G = np.zeros_like(X)
-    for r in range(min(w, T)):
-        a, n2 = A[: T - r], norms[: T - r]
-        s = np.einsum("td,td->t", a, X[r:]) + B[: T - r]
-        s2 = s - thD * np.cos(s) * n2
-        coef = D * np.cos(s2) * (1.0 + thD * np.sin(s) * n2)
-        G[r:] += coef[:, None] * a
+    rows, V = _window_rows(T, m, d + 2)
+    rows[:, :d] = A
+    rows[:, d] = B
+    rows[:, d + 1] = np.einsum("td,td->t", rows[:, :d], rows[:, :d])
+    block = max(1, _BLOCK_PAIRS // m)
+    G = np.empty_like(X)
+    for i0 in range(0, T, block):
+        i1 = min(i0 + block, T)
+        v = V[i0:i1, : min(m, i1)]
+        a, n2 = v[..., :d], v[..., d + 1]
+        s = np.einsum("trd,td->tr", a, X[i0:i1])
+        s += v[..., d]
+        # coef = D cos(s2) (1 + thD sin(s) n2), with s2 = s - thD cos(s) n2,
+        # in place: a block's temporaries are then three arrays of its pairs
+        tmp = np.cos(s)
+        tmp *= thD
+        tmp *= n2
+        coef = s - tmp
+        np.sin(s, out=tmp)
+        tmp *= thD
+        tmp *= n2
+        tmp += 1.0
+        np.cos(coef, out=coef)
+        coef *= D
+        coef *= tmp
+        np.einsum("tr,trd->td", coef, a, out=G[i0:i1])
     G /= w
     return np.einsum("td,td->t", G, G)
 

@@ -78,6 +78,21 @@ def test_run_validates_seed_and_job_arguments(tmp_path, capsys):
     assert "config error" in err
 
 
+@pytest.mark.parametrize("command,flags,error", [
+    ("run", ("--set", "seeds=[0,0]"), "seeds[1] must not repeat seeds[0], got 0"),
+    ("run", ("--seed-list", "3,3"), "--seed-list[1] must not repeat --seed-list[0], got 3"),
+    ("bounds", ("--set", 'optimizer.preset="adam"', "--set", 'bounds=["adam-highprob","adam-highprob"]'),
+     "bounds[1] must not repeat bounds[0], got 'adam-highprob'"),
+])
+def test_a_repeated_seed_or_theorem_exits_before_writing(tmp_path, capsys, command, flags, error):
+    out = tmp_path / "out"
+    assert cli.main([command, *FAST, *flags, "--out", str(out)]) == 2
+    assert not out.exists()
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert error in captured.err
+
+
 def test_run_uses_config_seeds_by_default(tmp_path):
     rc = cli.main(["run", *FAST, "--set", "seeds=[4,6]", "--out", str(tmp_path)])
     assert rc == 0

@@ -285,6 +285,17 @@ def test_list_keys_name_each_failing_entry():
     ]
 
 
+def test_seeds_and_bounds_refuse_a_repeated_entry():
+    lines = _error_lines(("seeds=[3, 1, 3, 1, 3]", 'bounds=["adam-highprob", "adam-highprob"]',
+                          "init=[1, 1]", "dim=2"))
+    assert lines == [
+        "seeds[2] must not repeat seeds[0], got 3",
+        "seeds[3] must not repeat seeds[1], got 1",
+        "seeds[4] must not repeat seeds[0], got 3",
+        "bounds[1] must not repeat bounds[0], got 'adam-highprob'",
+    ]
+
+
 def test_readme_key_table_matches_the_defaults():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     table = readme.split("Selected keys, with defaults:")[1].split("\n\n")[1]

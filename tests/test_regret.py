@@ -1,6 +1,7 @@
 """Regret ledgers, variance proxies, and guarantee calculators."""
 
 import math
+import tracemalloc
 from math import fsum
 
 import numpy as np
@@ -35,6 +36,7 @@ from dynreg import (
     variance_proxy,
     weight_sum_W,
 )
+from dynreg import regret
 from dynreg.regret import _window_sums
 
 
@@ -124,22 +126,115 @@ def test_dlr_per_round_is_the_norm_of_the_exact_smoothed_gradient(gaussian_trace
         assert ledger.per_round[t - 1] == pytest.approx(float(g @ g), rel=1e-12)
 
 
-# one-slot window, the trace's own window, and a window wider than its 40 rounds
-@pytest.mark.parametrize("w", [1, 4, 64])
-def test_slr_matches_a_handle_oracle(gaussian_trace, w):
-    trace = gaussian_trace
+def _sine_trace(horizon, dim=3):
+    """gaussian_trace's run, played for the given number of rounds."""
+    stream = make_drifting_sine_stream(
+        dim=dim, drift_rate=0.05, noise=NoiseModel(GAUSSIAN, sigma=0.5), seed=5
+    )
+    opt = make_config_adagrad(eta=0.2, alpha=0.9, window=4)
+    return run_stream(stream, horizon, InnerAdaptConfig(theta=0.05), opt, seed=5)
+
+
+_LONG = 200
+
+
+@pytest.fixture(scope="module")
+def long_trace():
+    return _sine_trace(_LONG)
+
+
+# one-slot window, the trace's own window, and a window wider than its 40
+# rounds; then a horizon of several row blocks at w = T and at a w whose
+# first block edge falls inside the first window
+@pytest.mark.parametrize(
+    "trace_name,w",
+    [("gaussian_trace", 1), ("gaussian_trace", 4), ("gaussian_trace", 64),
+     ("long_trace", _LONG), ("long_trace", 150)],
+    ids=["1", "4", "64", "long-200", "long-150"],
+)
+def test_slr_matches_a_handle_oracle(request, trace_name, w):
+    trace = request.getfixturevalue(trace_name)
+    if trace_name == "long_trace":
+        # several row blocks, the first ending inside the first window
+        assert regret._BLOCK_PAIRS // w < w
     ledger = slr_cumulative(trace, w)
     assert ledger.kind == "static"
     assert ledger.weight_sum == float(w)
     assert ledger.alpha is None
+    losses = [RoundLoss(trace.stream.task(t), trace.theta) for t in range(1, trace.horizon + 1)]
     for t in range(1, trace.horizon + 1):
         occ = min(t, w)
         x = trace.iterates[t - 1]
         acc = np.zeros(trace.dim)
         for r in range(occ):
-            acc += RoundLoss(trace.stream.task(t - r), trace.theta).grad(x)
+            acc += losses[t - 1 - r].grad(x)
         g = acc / w
         assert ledger.per_round[t - 1] == pytest.approx(float(g @ g), rel=1e-9, abs=1e-12)
+
+
+def _slr_lag_by_lag(trace, w):
+    """The static ledger's per-round values as one pass per lag, adding lag
+    r's gradients into every round's sum at once."""
+    A, B = trace.stream.params_upto(trace.horizon)
+    X, T = trace.iterates, trace.horizon
+    thD = trace.theta * trace.stream.amplitude
+    norms = np.einsum("td,td->t", A, A)
+    G = np.zeros_like(X)
+    for r in range(min(w, T)):
+        a, n2 = A[: T - r], norms[: T - r]
+        s = np.einsum("td,td->t", a, X[r:]) + B[: T - r]
+        s2 = s - thD * np.cos(s) * n2
+        coef = trace.stream.amplitude * np.cos(s2) * (1.0 + thD * np.sin(s) * n2)
+        G[r:] += coef[:, None] * a
+    G /= w
+    return np.einsum("td,td->t", G, G)
+
+
+@pytest.mark.parametrize("w", [1, 4, 16, 150, _LONG, 500])
+def test_slr_blocks_keep_the_lag_by_lag_bits(long_trace, w):
+    # each round sums its lags in the loop's order, so the bits are the same
+    per_round = slr_cumulative(long_trace, w).per_round
+    assert per_round.tolist() == _slr_lag_by_lag(long_trace, w).tolist()
+
+
+# prefixes that end inside a block, on a block edge at w = 150 (109-row
+# blocks) and one round later
+@pytest.mark.parametrize("k", [1, 37, 109, 110])
+def test_a_prefix_run_has_the_first_ledger_values_bit_for_bit(long_trace, k):
+    prefix = _sine_trace(k)
+    for w in (1, 4, 16, 150, _LONG, 500):
+        full = slr_cumulative(long_trace, w).per_round[:k]
+        assert slr_cumulative(prefix, w).per_round.tolist() == full.tolist(), w
+    # the dynamic ledger's product groups its terms from the oldest row of a
+    # window min(w, T) rows wide, so its bits match while k covers the window
+    for w in (1, 4, 16, 37, 109):
+        if w <= k:
+            full = dlr_cumulative(long_trace, w, 0.9).per_round[:k]
+            assert dlr_cumulative(prefix, w, 0.9).per_round.tolist() == full.tolist(), w
+
+
+def test_ledgers_of_a_window_wider_than_the_horizon_cost_the_horizon():
+    trace = _sine_trace(10, dim=2)
+    wide = 10**6
+    tracemalloc.start()
+    try:
+        dlr = dlr_cumulative(trace, wide, 0.9)
+        slr = slr_cumulative(trace, wide)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a window padded to 10^6 rows takes 16 MB at d = 2
+    assert peak < 64 * 1024
+    # W stays the full window's sum: the averages are the horizon-wide
+    # window's, rescaled
+    assert dlr.weight_sum == weight_sum_W(0.9, wide)
+    for t in (1, 10):
+        g = exact_smoothed_gradient(trace, t, wide, 0.9)
+        assert dlr.per_round[t - 1] == pytest.approx(float(g @ g), rel=1e-12)
+    assert slr.weight_sum == float(wide)
+    np.testing.assert_allclose(
+        slr.per_round, slr_cumulative(trace, 10).per_round * (10 / wide) ** 2, rtol=1e-12
+    )
 
 
 def test_slr_requires_rebuildable_losses():
