@@ -26,7 +26,7 @@ import numpy as np
 
 from .config import ExperimentConfig, _check_distinct, load_config
 from .lemmas import run_checks
-from .meta import run_stream
+from .meta import RNG_CONTRACT, run_stream
 from .numerics import ConfigError, NumericError, VerificationError, _check_key_part, check_int
 from .regret import bound_expectation, bound_highprob, dlr_cumulative, slr_cumulative
 from .tasks import loss_constants
@@ -81,6 +81,7 @@ def _run_seed_job(payload) -> dict:
         "final_dlr": dlr.total,
         "final_slr": slr.total,
         "wall_time_s": wall,
+        "rng_contract": RNG_CONTRACT,
         "csv": csv_name,
         "config": cfg.snapshot(seed=seed),
     }

@@ -60,6 +60,12 @@ __all__ = [
 # guarantee calculator check theta against it too
 THETA_RANGE = NON_NEGATIVE
 
+# The version of what fixes a run's bits beyond its inputs, which the CLI
+# writes into every summary: round t draws from the Philox stream keyed by
+# (seed, t), and the window keeps its sum running, re-summed from its rows
+# every w-th push. "1" had each round sum the window directly.
+RNG_CONTRACT = "2"
+
 
 @dataclass(frozen=True)
 class InnerAdaptConfig:
@@ -427,7 +433,7 @@ def _play_sine_streams(streams, T, inner, opt, seeds, x0) -> dict:
         # SmoothingWindow.push, its checks made below
         window._store(g.reshape(-1))
         # smoothed_stochastic_gradient
-        gt = window.smoothed(z[1:].reshape(occ, R * d) if noisy else None, R).reshape(R, d)
+        gt = window.smoothed(z[1:].reshape(occ, R * d) if noisy else None).reshape(R, d)
         # dts_ag_step
         m = beta1 * m + gt
         v = beta2 * v + gt * gt

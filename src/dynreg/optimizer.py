@@ -160,18 +160,31 @@ def alpha_weights(alpha: float, window: int) -> np.ndarray:
 
 
 def _weighted_row_sum(alpha: float, weights: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """sum_r weights[r] rows[r] over the rows, newest first.
+    """sum_r weights[r] rows[r], adding the rows in turn, newest first.
 
-    At alpha = 1 every weight is exactly 1.0, so each product is an exact
-    copy of its row and the plain sum is the same number at lower cost.
+    weights holds alpha^r in row r, as a column or once per entry of rows.
+    numpy reduces a block of rows one row at a time but a lone column
+    pairwise, so a one-column block is accumulated instead; adding 0.0
+    matches the reduction, which starts from +0.0, also in the sign of a
+    zero. Each column then sums to the same bits whatever the block's
+    width, which lets a window hold runs side by side. At alpha = 1 every
+    weight is exactly 1.0, so each product would be an exact copy of its
+    row, and the products are skipped.
     """
-    if alpha == 1.0:
+    if alpha != 1.0:
+        rows = weights[: len(rows)] * rows
+    if rows.shape[1] > 1:
         return rows.sum(axis=0)
-    return (weights[: len(rows), None] * rows).sum(axis=0)
+    return np.add.accumulate(rows)[-1] + 0.0
+
+
+# rows of a window's ring at its first push; it doubles from there to 2w
+_FIRST_ROWS = 8
 
 
 class SmoothingWindow:
-    """Ring buffer of the last w exact round-loss gradients, newest first.
+    """Ring buffer of the last w exact round-loss gradients, newest first,
+    and their running weighted sum.
 
     Each slot keeps the round loss's exact gradient at that round's
     iterate, computed once at push time (from the pushed handle unless
@@ -179,23 +192,42 @@ class SmoothingWindow:
     and stochasticity is injected per query, not per slot. Neither the
     handle nor the iterate is kept.
 
-    The gradients live in a (2w, dim) array allocated at the first push:
-    the newest row goes to a falling head index, and once per w pushes the
-    newest w - 1 rows are copied up, so the window is always the contiguous
-    block ring[head:head + occupied]. smoothed sums it. The array run loop
-    keeps R runs side by side in one window of (R*d)-wide rows: it fills
-    the ring through _store, which skips push's checks, and sums it with
-    smoothed(noise, R).
+    The gradients live in a (rows, dim) ring: the newest row goes to a
+    falling head index, and when the head reaches 0 the newest
+    min(occupied, w) rows move to the ring's end, into a ring of twice the
+    rows while it has fewer than 2w. So the window is always the contiguous
+    block ring[head:head + occupied], the row a push evicts lies just past
+    it, and the ring and its weights grow with min(t, w), not with w.
+
+    S = sum_r alpha^r g_r is kept as it goes: each push sets
+    S <- alpha S + g_new - alpha^w g_evicted, and every w-th push re-sums it
+    from the ring with _weighted_row_sum instead, since the rounding a
+    recursion carries grows with its number of terms (Higham, ch. 4). So an
+    exact query costs O(d), and after every w-th push S equals the direct
+    sum bit for bit. The array run loop keeps R runs side by side in one
+    window of (R*d)-wide rows: it fills the ring through _store, which
+    skips push's checks, and every sum is taken per column, so each run's
+    block equals its own window's bit for bit.
     """
 
     def __init__(self, alpha: float, window: int):
-        self.weights = alpha_weights(alpha, window)
+        self.weight_sum = weight_sum_W(alpha, window)
         self.alpha = float(alpha)
         self.window = int(window)
-        self.weight_sum = weight_sum_W(alpha, window)
+        # alpha^r in every entry of row r for the lags the ring can hold (at
+        # alpha < 1): numpy multiplies arrays of one shape at a fraction of
+        # the cost of broadcasting a column
+        self._weights: Optional[np.ndarray] = None
+        # alpha, alpha^w and W as 0-d arrays, which numpy takes faster than
+        # Python floats
+        self._alpha, self._evicted_weight, self._W = (
+            np.array(c) for c in (self.alpha, self.alpha**self.window, self.weight_sum)
+        )
         self._ring: Optional[np.ndarray] = None
-        self._head = 2 * self.window
+        self._sum: Optional[np.ndarray] = None
+        self._head = 0
         self._occupied = 0
+        self._pushes = 0
 
     @property
     def occupied(self) -> int:
@@ -217,20 +249,57 @@ class SmoothingWindow:
         self._store(g)
 
     def _store(self, g: np.ndarray) -> None:
-        """push's ring update, unchecked: g is a 1-D gradient of the window's length."""
-        w = self.window
-        ring = self._ring
-        if ring is None:
-            ring = self._ring = np.empty((2 * w, g.size))
+        """push's update, unchecked: g is a 1-D gradient of the window's length."""
         head = self._head
         if head == 0:
-            ring[w + 1 :] = ring[: w - 1]
-            head = w + 1
+            head = self._make_room(g.size)
         head -= 1
+        ring = self._ring
         ring[head] = g
         self._head = head
-        if self._occupied < w:
-            self._occupied += 1
+        w, occ, alpha = self.window, self._occupied, self.alpha
+        self._pushes += 1
+        if self._pushes % w == 0:
+            occ = self._occupied = min(occ + 1, w)
+            self._sum = _weighted_row_sum(alpha, self._weights, ring[head : head + occ])
+            return
+        # ufuncs called with their output in place, the fastest form for rows
+        # this short
+        S = self._sum
+        if alpha != 1.0:
+            np.multiply(S, self._alpha, S)
+        np.add(S, g, S)
+        if occ < w:
+            self._occupied = occ + 1
+            return
+        # the row that leaves the window now; no later move copies it, so it
+        # is scaled in place
+        evicted = ring[head + w]
+        if alpha != 1.0:
+            np.multiply(evicted, self._evicted_weight, evicted)
+        np.subtract(S, evicted, S)
+
+    def _make_room(self, dim: int) -> int:
+        """Free the rows above the window and return the new head: at the
+        first push allocate the ring, and later move the newest
+        min(occupied, w) rows to its end, into a ring of twice the rows (at
+        most 2w) while it has fewer than 2w. The weights grow with it."""
+        w, ring = self.window, self._ring
+        keep = min(self._occupied, w)
+        rows = min(2 * w, _FIRST_ROWS if ring is None else 2 * len(ring))
+        if ring is None or len(ring) < rows:
+            grown = np.empty((rows, dim))
+            if keep:
+                grown[rows - keep :] = ring[:keep]
+            self._ring = grown
+            if self.alpha != 1.0:
+                column = alpha_weights(self.alpha, min(rows, w))[:, None]
+                self._weights = np.repeat(column, dim, axis=1)
+            if ring is None:
+                self._sum = np.zeros(dim)
+        else:
+            ring[rows - keep :] = ring[:keep]
+        return rows - keep
 
     def gradient_matrix(self) -> np.ndarray:
         """Per-slot exact gradients, newest first, shape (occupied, dim).
@@ -242,28 +311,25 @@ class SmoothingWindow:
             raise DimensionError("window is empty; push at least one round first")
         return self._ring[self._head : self._head + self._occupied]
 
-    def smoothed(self, noise: Optional[np.ndarray] = None, runs: int = 1) -> np.ndarray:
+    def smoothed(self, noise: Optional[np.ndarray] = None) -> np.ndarray:
         """(1/W) sum_r alpha^r (g_r + noise_r) over the occupied slots.
 
-        noise, when given, has the shape of gradient_matrix(), one row per
-        slot, newest first. runs counts the runs the window holds side by
-        side, each owning an equal contiguous block of every row. Each run's
-        block of the result equals its own window's sum bit for bit: numpy
-        sums a single column pairwise but a wider block row by row, so a
-        batch of one-coordinate runs sums each run's column as a contiguous
-        row.
+        The gradients' part is the running sum S. noise, when given, has the
+        shape of gradient_matrix(), one row per slot, newest first; its
+        weighted sum is added to S.
         """
-        rows = self.gradient_matrix()
-        if noise is not None:
-            rows = rows + noise
-        if rows.shape[1] == runs > 1:
-            cols = np.ascontiguousarray(rows.T)
-            if self.alpha != 1.0:
-                cols = self.weights[: len(rows)] * cols
-            total = cols.sum(axis=1)
-        else:
-            total = _weighted_row_sum(self.alpha, self.weights, rows)
-        return total / self.weight_sum
+        if self._occupied == 0:
+            raise DimensionError("window is empty; push at least one round first")
+        if noise is None:
+            return self._sum / self._W
+        if len(noise) != self._occupied:
+            raise DimensionError(
+                f"noise has {len(noise)} rows, the window holds {self._occupied}"
+            )
+        total = _weighted_row_sum(self.alpha, self._weights, noise)
+        total += self._sum
+        total /= self._W
+        return total
 
 
 def smoothed_stochastic_gradient(

@@ -95,7 +95,7 @@ def exact_smoothed_gradient(trace: RunTrace, t: int, w: int, alpha: float) -> np
     occ = min(t, w)
     W = weight_sum_W(alpha, w)
     rows = trace.grads[t - occ : t][::-1]  # newest first
-    return _weighted_row_sum(alpha, alpha_weights(alpha, w), rows) / W
+    return _weighted_row_sum(alpha, alpha_weights(alpha, occ)[:, None], rows) / W
 
 
 def dlr_cumulative(trace: RunTrace, w: int, alpha: float) -> RegretLedger:

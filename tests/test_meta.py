@@ -2,6 +2,7 @@
 
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -559,3 +560,25 @@ def test_the_benchmarks_traced_loop_calls_reproduce_run_stream(shape):
     assert issubclass(d.NumericError, ArithmeticError)  # traced_loop raises it by name
     for name, rows in out.items():
         assert np.array_equal(np.array(rows), getattr(ref, name)), name
+
+
+@pytest.mark.parametrize("alpha", [1.0, 0.9])
+def test_a_wide_window_costs_memory_for_the_rounds_played_only(alpha):
+    # the window's ring and weights grow with min(t, w): at w = 10^6 a
+    # (2w, d) ring would take 160 MB for a run of 10 rounds
+    inner = InnerAdaptConfig(theta=0.05)
+    opt = make_config_adagrad(eta=0.1, alpha=alpha, window=10**6)
+
+    def stream():
+        return make_drifting_sine_stream(
+            dim=10, drift_rate=0.05, noise=NoiseModel(GAUSSIAN, sigma=0.5), seed=0
+        )
+
+    run_stream(stream(), 10, inner, opt, seed=0)  # first-use imports and caches
+    tracemalloc.start()
+    try:
+        run_stream(stream(), 10, inner, opt, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000

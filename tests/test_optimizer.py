@@ -52,8 +52,9 @@ def test_weight_sum_matches_direct_sum():
     assert weight_sum_W(0.9, 10) == pytest.approx(direct, rel=1e-13)
 
 
+EPS = np.finfo(np.float64).eps
 # float64 relative tolerance fixed before measuring: 4 ulps (the worst seen is 2)
-GEOM_RTOL = 4 * np.finfo(np.float64).eps
+GEOM_RTOL = 4 * EPS
 GEOM_ALPHAS = (1e-300, 0.25, 0.5, 0.9, 0.99, 1 - 1e-6, 1 - 1e-10, 1 - 1e-12, 1 - 2**-52, 1.0)
 
 
@@ -208,7 +209,7 @@ def test_alpha_one_row_sum_equals_the_weighted_sum_bit_for_bit(occ, dim):
     weights = alpha_weights(1.0, occ + 2)
     for rows in (G, G[::-1]):
         expected = (weights[:occ, None] * rows).sum(axis=0)
-        assert _weighted_row_sum(1.0, weights, rows).tobytes() == expected.tobytes()
+        assert _weighted_row_sum(1.0, weights[:, None], rows).tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("noisy", [False, True])
@@ -217,22 +218,65 @@ def test_alpha_one_row_sum_equals_the_weighted_sum_bit_for_bit(occ, dim):
 def test_a_batch_window_sums_each_run_as_its_own_window(dim, alpha, noisy):
     # R runs side by side in (R*dim)-wide rows; numpy sums a lone column
     # pairwise but a block of rows row by row, which the one-coordinate
-    # batch must not do
+    # runs must not do. 2w + 9 pushes cover the ring's growth, the re-sums
+    # at pushes w and 2w and the in-place move of the ring at push 2w + 2
     runs, w = 4, 64
     rng = spawn_rng_stream(0, 12)
     batch = SmoothingWindow(alpha, w)
     own = [SmoothingWindow(alpha, w) for _ in range(runs)]
-    for _ in range(w + 9):
+    for _ in range(2 * w + 9):
         row = rng.standard_normal(runs * dim) * np.logspace(-8, 8, runs * dim)
         batch.push(np.zeros(runs * dim), _FixedGrad(row))
         for r, win in enumerate(own):
             win.push(np.zeros(dim), _FixedGrad(row[r * dim : (r + 1) * dim]))
         noise = rng.standard_normal((batch.occupied, runs * dim)) if noisy else None
-        out = batch.smoothed(noise, runs)
+        out = batch.smoothed(noise)
         for r, win in enumerate(own):
             cols = slice(r * dim, (r + 1) * dim)
             expected = win.smoothed(None if noise is None else noise[:, cols])
             assert out[cols].tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("w", [1, 2, 7, 64, 500])
+@pytest.mark.parametrize("alpha", [1.0, 0.9, 0.5, 1 - 1e-12])
+def test_running_window_sum_stays_within_a_few_eps_of_fsum(alpha, w):
+    # entries from 1e-8 to 1e8 in magnitude over five and a half windows. S
+    # keeps the rounding of every row it took in since the window it last
+    # re-summed, the rows evicted since then among them, so the scale of its
+    # error is sum_r alpha^r |g_r| over those rows; the worst seen is 8.7 eps
+    d, n = 2, 5 * w + w // 2 + 1
+    rng = spawn_rng_stream(1, w)
+    G = rng.standard_normal((n, d)) * 10.0 ** rng.uniform(-8.0, 8.0, (n, d))
+    weights = alpha_weights(alpha, 2 * w)
+    W = weight_sum_W(alpha, w)
+    win = SmoothingWindow(alpha, w)
+    for k in range(1, n + 1):
+        win.push(np.zeros(d), _FixedGrad(G[k - 1]))
+        out = win.smoothed()
+        occ = win.occupied
+        seen = occ + (k % w if k > w else 0)
+        lags = G[k - seen : k][::-1]
+        for j in range(d):
+            exact = fsum((weights[:occ] * lags[:occ, j]).tolist())
+            scale = float(weights[:seen] @ np.abs(lags[:, j]))
+            assert abs(out[j] - exact / W) <= 16 * EPS * scale / W, (k, j)
+
+
+@pytest.mark.parametrize("w", [1, 2, 7, 64])
+@pytest.mark.parametrize("alpha", [1.0, 0.9, 1 - 1e-12])
+def test_running_window_sum_is_the_direct_sum_after_every_wth_push(alpha, w):
+    # every w-th push re-sums the window row by row, newest first, as numpy
+    # sums a block of rows; criterion 2 compares the window with
+    # exact_smoothed_gradient by array_equal at t = w, the first of these
+    rng = spawn_rng_stream(2, w)
+    G = rng.standard_normal((4 * w + 3, 3)) * np.logspace(-8, 8, 3)
+    weights = alpha_weights(alpha, w)
+    win = SmoothingWindow(alpha, w)
+    for k, row in enumerate(G, start=1):
+        win.push(np.zeros(3), _FixedGrad(row))
+        if k % w == 0:
+            direct = (weights[:, None] * G[k - w : k][::-1]).sum(axis=0)
+            assert win.smoothed().tobytes() == (direct / weight_sum_W(alpha, w)).tobytes()
 
 
 def test_smoothed_gradient_short_history_damped():
@@ -247,6 +291,13 @@ def test_smoothed_gradient_empty_window_rejected():
         smoothed_stochastic_gradient(
             SmoothingWindow(1.0, 2), NoiseModel(EXACT), spawn_rng_stream(0, 1)
         )
+
+
+def test_smoothed_noise_needs_one_row_per_slot():
+    win = SmoothingWindow(1.0, 4)
+    win.push(np.zeros(2), _FixedGrad([1.0, 2.0]))
+    with pytest.raises(DimensionError, match="noise has 2 rows, the window holds 1"):
+        win.smoothed(np.zeros((2, 2)))
 
 
 def test_smoothed_gradient_noise_is_reproducible():
