@@ -6,8 +6,10 @@ loss ell_t(x_t) = raw_t(x_t - theta * grad raw_t(x_t)) evaluated with the
 exact inner step, pushes (x_t, ell_t) into the smoothing window, and updates
 x via the time-smoothed adaptive step.
 
-All stochasticity of round t comes from the stream (seed, t): one adaptation
-draw, then one batched window draw. A run is therefore a pure function of
+All stochasticity of round t comes from the stream (seed, t): d normals for
+the adaptation noise, then one row of d normals for the window's noise,
+which stands for the weighted sum of one noise draw per occupied slot (see
+SmoothingWindow.smoothed). A run is therefore a pure function of
 (stream, horizon, configs, seed), whichever loop plays it: run_round called
 once per round, or the one array loop, which run_streams uses to step R runs
 side by side on (R, d) arrays and run_stream calls with R = 1.
@@ -61,10 +63,12 @@ __all__ = [
 THETA_RANGE = NON_NEGATIVE
 
 # The version of what fixes a run's bits beyond its inputs, which the CLI
-# writes into every summary: round t draws from the Philox stream keyed by
-# (seed, t), and the window keeps its sum running, re-summed from its rows
-# every w-th push. "1" had each round sum the window directly.
-RNG_CONTRACT = "2"
+# writes into every summary: round t draws 2d normals from the Philox stream
+# keyed by (seed, t), the adaptation noise and then one row for the window's
+# noise, and the window keeps its sum running, re-summed from its rows every
+# w-th push. "2" drew one noise row per occupied slot and summed them; "1"
+# also had each round sum the window's gradients directly.
+RNG_CONTRACT = "3"
 
 
 @dataclass(frozen=True)
@@ -391,12 +395,12 @@ def _play_sine_streams(streams, T, inner, opt, seeds, x0) -> dict:
     run's rows equal the round-by-round path bit for bit; the lowest run
     with a non-finite entry in a round is replayed through run_round from
     round 1, which raises its errors. One Philox is re-keyed to (seed, t)
-    for each run's round; a round's adaptation draw and window draw come
-    from one call, which yields the same sequence as two. One
+    for each run's round; a round's adaptation draw and its one window draw
+    come from one (2, d) call, which yields the same sequence as two. One
     SmoothingWindow holds the R runs side by side, one (R*d)-wide row per
     round. Returns the trace arrays with the runs first.
     """
-    R, d, w = len(streams), streams[0].dim, opt.window
+    R, d = len(streams), streams[0].dim
     A = np.empty((T, R, d))  # round t's rows at t - 1
     B = np.empty((T, R))
     for r, stream in enumerate(streams):
@@ -407,10 +411,10 @@ def _play_sine_streams(streams, T, inner, opt, seeds, x0) -> dict:
     coord_std = noise.coord_std(d) if noisy else 0.0
     sqrt_tb = math.sqrt(inner.train_batch)
     theta = float(inner.theta)
-    window = SmoothingWindow(opt.alpha, w)
+    window = SmoothingWindow(opt.alpha, opt.window)
     beta1, beta2, eps = opt.beta1, opt.beta2, opt.epsilon
     rng = spawn_rng_stream(seeds[0], 1)  # re-keyed to (seeds[r], t) for run r's round t
-    draws = np.empty((min(w, T) + 1, R, d))  # run r's normals of round t: draws[:occ + 1, r]
+    draws = np.empty((2, R, d))  # run r's normals of a round: draws[:, r]
 
     iterates, adapted, grads, smoothed = (np.empty((T, R, d)) for _ in range(4))
     losses = np.empty((T, R, 1))  # sine_round_rows gives each round's losses as a column
@@ -422,18 +426,17 @@ def _play_sine_streams(streams, T, inner, opt, seeds, x0) -> dict:
     v = np.zeros((R, d))
     for i in range(T):
         t = i + 1
-        occ = t if t < w else w
         if noisy:
             for r, seed in enumerate(seeds):
-                draws[: occ + 1, r] = rng.rekey(t, seed).standard_normal((occ + 1, d))
-            z = coord_std * draws[: occ + 1]
+                draws[:, r] = rng.rekey(t, seed).standard_normal((2, d))
+            z = coord_std * draws
         _, g_in, u, val, g = sine_round_rows(A[i], B[i], x, D, theta)
         # inner_adapt; with exact gradients the adapted point is U(x)
         xhat = x - theta * (g_in + z[0] / sqrt_tb) if noisy else u
         # SmoothingWindow.push, its checks made below
         window._store(g.reshape(-1))
         # smoothed_stochastic_gradient
-        gt = window.smoothed(z[1:].reshape(occ, R * d) if noisy else None).reshape(R, d)
+        gt = window.smoothed(z[1].reshape(R * d) if noisy else None).reshape(R, d)
         # dts_ag_step
         m = beta1 * m + gt
         v = beta2 * v + gt * gt

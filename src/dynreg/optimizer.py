@@ -153,6 +153,16 @@ def weight_sum_W(alpha: float, window: int) -> float:
     return geometric_sum(math.log(alpha), window)
 
 
+def _sq_weight_sum(alpha: float, w: int) -> float:
+    """q = sum_{r<w} alpha^(2r), accurate as alpha -> 1 and exactly w at 1.
+
+    Unchecked. The variance proxy's sum over a full window, and the variance
+    factor of the noise a window of w occupied slots adds (see
+    SmoothingWindow.smoothed).
+    """
+    return geometric_sum(2.0 * math.log(alpha), w)
+
+
 def alpha_weights(alpha: float, window: int) -> np.ndarray:
     """The weight vector (alpha^0, ..., alpha^(w-1))."""
     _check_window(window, alpha)
@@ -228,6 +238,10 @@ class SmoothingWindow:
         self._head = 0
         self._occupied = 0
         self._pushes = 0
+        # sqrt(q) for q = sum_{r<occ} alpha^(2r), the noise scale of smoothed,
+        # as a 0-d array, and the occupancy it was computed at
+        self._noise_scale: Optional[np.ndarray] = None
+        self._noise_scale_occ = 0
 
     @property
     def occupied(self) -> int:
@@ -312,21 +326,30 @@ class SmoothingWindow:
         return self._ring[self._head : self._head + self._occupied]
 
     def smoothed(self, noise: Optional[np.ndarray] = None) -> np.ndarray:
-        """(1/W) sum_r alpha^r (g_r + noise_r) over the occupied slots.
+        """(1/W) (S + sqrt(q) noise) over the occupied slots.
 
-        The gradients' part is the running sum S. noise, when given, has the
-        shape of gradient_matrix(), one row per slot, newest first; its
-        weighted sum is added to S.
+        S = sum_r alpha^r g_r is the running sum of the slots' gradients and
+        q = sum_{r<occupied} alpha^(2r). noise, when given, is one row of the
+        window's length. If its entries are independent N(0, c^2), then
+        sqrt(q) noise has the law of sum_r alpha^r n_r over independent
+        N(0, c^2 I) rows n_r, one per slot, which is what the window's
+        noise is; so one row stands for occupied rows. sqrt(q) is computed
+        again only when the occupancy changed, that is while it is below w.
         """
-        if self._occupied == 0:
+        occ = self._occupied
+        if occ == 0:
             raise DimensionError("window is empty; push at least one round first")
         if noise is None:
             return self._sum / self._W
-        if len(noise) != self._occupied:
+        if noise.shape != self._sum.shape:
             raise DimensionError(
-                f"noise has {len(noise)} rows, the window holds {self._occupied}"
+                f"noise must be one row of the window's length {self._sum.size}, "
+                f"got shape {noise.shape}"
             )
-        total = _weighted_row_sum(self.alpha, self._weights, noise)
+        if occ != self._noise_scale_occ:
+            self._noise_scale = np.array(math.sqrt(_sq_weight_sum(self.alpha, occ)))
+            self._noise_scale_occ = occ
+        total = noise * self._noise_scale
         total += self._sum
         total /= self._W
         return total
@@ -337,14 +360,14 @@ def smoothed_stochastic_gradient(
 ) -> np.ndarray:
     """Noisy geometrically-weighted average over the window's slots.
 
-    Each occupied slot contributes its exact gradient plus a fresh noise
-    draw (one batched draw per call, newest slot first); the weighted sum is
+    Each occupied slot contributes its exact gradient plus independent
+    noise. Their weighted noise sum is drawn as one row of the window's
+    length from rng (see SmoothingWindow.smoothed), and the weighted sum is
     divided by the full-window W even when history is short.
     """
     if noise.is_exact:
         return window.smoothed()
-    occupied, dim = window.gradient_matrix().shape
-    return window.smoothed(noise.draw(rng, dim, reps=occupied))
+    return window.smoothed(noise.draw(rng, window.gradient_matrix().shape[1]))
 
 
 def step_size_at(config: OptimizerConfig, t: int) -> float:

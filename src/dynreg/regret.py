@@ -32,6 +32,7 @@ from .optimizer import (
     CONSTANT,
     OptimizerConfig,
     _check_window,
+    _sq_weight_sum,
     _weighted_row_sum,
     alpha_weights,
     weight_sum_W,
@@ -258,11 +259,6 @@ class VarianceProxy:
     delta: Optional[float] = None
     zeta_highprob: Optional[float] = None
     mubar: Optional[float] = None
-
-
-def _sq_weight_sum(alpha: float, w: int) -> float:
-    """sum_{r<w} alpha^(2r), accurate as alpha -> 1 and exactly w at 1."""
-    return geometric_sum(2.0 * math.log(alpha), w)
 
 
 def variance_proxy(

@@ -33,6 +33,7 @@ from dynreg import (
     smoothed_stochastic_gradient,
     spawn_rng_stream,
     step_size_at,
+    weight_sum_W,
 )
 from dynreg.config import load_config
 from conftest import finite_difference_gradient
@@ -247,7 +248,7 @@ def test_run_streams_validates_the_batch():
 
 
 def test_a_batch_reports_the_first_failure_in_round_order():
-    # alone, seed 1 overflows the second moment in round 5 and seed 2 in round 3
+    # alone, seed 2 overflows the second moment in round 3 and seed 5 in round 2
     noise = NoiseModel(GAUSSIAN, sigma=3e154)
     inner = InnerAdaptConfig(theta=0.05, train_batch=1)
     opt = make_config_adagrad(eta=0.2, alpha=1.0, window=4)
@@ -258,14 +259,14 @@ def test_a_batch_reports_the_first_failure_in_round_order():
     with np.errstate(over="ignore", invalid="ignore"):
         alone = {
             seed: _numeric_error(lambda: run_stream(stream(seed), 8, inner, opt, seed=seed))
-            for seed in (1, 2)
+            for seed in (2, 5)
         }
-        batch = _numeric_error(lambda: run_streams([stream(1), stream(2)], 8, inner, opt, [1, 2]))
+        batch = _numeric_error(lambda: run_streams([stream(2), stream(5)], 8, inner, opt, [2, 5]))
     assert alone == {
-        1: "second moment overflowed at coordinate 2 (round 5)",
         2: "second moment overflowed at coordinate 0 (round 3)",
+        5: "second moment overflowed at coordinate 0 (round 2)",
     }
-    assert batch == f"run 1 (seed 2): {alone[2]}"
+    assert batch == f"run 1 (seed 5): {alone[5]}"
 
 
 def test_a_batch_reports_the_lowest_run_that_fails_in_a_round():
@@ -582,3 +583,26 @@ def test_a_wide_window_costs_memory_for_the_rounds_played_only(alpha):
     finally:
         tracemalloc.stop()
     assert peak < 1_000_000
+
+
+def test_the_window_noise_of_a_partial_window_has_its_variance():
+    # before the window fills, round t's smoothed gradient carries one noise
+    # row scaled by sqrt(q_t), q_t = sum_{r<t} alpha^(2r): the residual
+    # against the exact weighted window mean has mean square
+    # c^2 d q_t / W^2 = sigma^2 q_t / W^2. 2000 runs of d = 40 give 80 000
+    # normals per round, a relative standard error of 0.5 %
+    runs, d, w, alpha, sigma = 2000, 40, 8, 0.9, 0.5
+    stream = make_drifting_sine_stream(
+        dim=d, drift_rate=0.05, noise=NoiseModel(GAUSSIAN, sigma=sigma), seed=0
+    )
+    opt = make_config_adagrad(eta=0.1, alpha=alpha, window=w)
+    traces = run_streams([stream] * runs, w - 1, InnerAdaptConfig(theta=0.05), opt, range(runs))
+    grads = np.stack([tr.grads for tr in traces])
+    smoothed = np.stack([tr.smoothed_grads for tr in traces])
+    W = weight_sum_W(alpha, w)
+    for t in range(1, w):
+        exact = sum(alpha**r * grads[:, t - 1 - r] for r in range(t)) / W
+        res = smoothed[:, t - 1] - exact
+        expected = sigma**2 * math.fsum(alpha ** (2 * r) for r in range(t)) / W**2
+        ratio = float(np.einsum("rd,rd->r", res, res).mean()) / expected
+        assert abs(ratio - 1.0) <= 0.03, (t, ratio)

@@ -229,11 +229,11 @@ def test_a_batch_window_sums_each_run_as_its_own_window(dim, alpha, noisy):
         batch.push(np.zeros(runs * dim), _FixedGrad(row))
         for r, win in enumerate(own):
             win.push(np.zeros(dim), _FixedGrad(row[r * dim : (r + 1) * dim]))
-        noise = rng.standard_normal((batch.occupied, runs * dim)) if noisy else None
+        noise = rng.standard_normal(runs * dim) if noisy else None
         out = batch.smoothed(noise)
         for r, win in enumerate(own):
             cols = slice(r * dim, (r + 1) * dim)
-            expected = win.smoothed(None if noise is None else noise[:, cols])
+            expected = win.smoothed(None if noise is None else noise[cols])
             assert out[cols].tobytes() == expected.tobytes()
 
 
@@ -293,11 +293,35 @@ def test_smoothed_gradient_empty_window_rejected():
         )
 
 
-def test_smoothed_noise_needs_one_row_per_slot():
+def test_smoothed_noise_is_one_row_of_the_window_width():
     win = SmoothingWindow(1.0, 4)
     win.push(np.zeros(2), _FixedGrad([1.0, 2.0]))
-    with pytest.raises(DimensionError, match="noise has 2 rows, the window holds 1"):
-        win.smoothed(np.zeros((2, 2)))
+    with pytest.raises(DimensionError, match=r"window's length 2, got shape \(3,\)"):
+        win.smoothed(np.zeros(3))
+    # so is a (1, d) block, which has the width but not the shape of a row
+    with pytest.raises(DimensionError, match=r"window's length 2, got shape \(1, 2\)"):
+        win.smoothed(np.zeros((1, 2)))
+
+
+@pytest.mark.parametrize("w", [2, 16, 64])
+@pytest.mark.parametrize("alpha", [1.0, 0.9, 0.5, 1 - 1e-12])
+def test_window_noise_scale_is_the_root_of_the_squared_weight_sum(alpha, w):
+    # smoothed adds sqrt(q) * noise, q = sum_{r<occ} alpha^(2r), at one, all
+    # but one and all w slots occupied, and once more after an eviction
+    win = SmoothingWindow(alpha, w)
+    W = weight_sum_W(alpha, w)
+    for pushes in range(1, w + 2):
+        win.push(np.zeros(1), _FixedGrad([0.0]))
+        occ = min(pushes, w)
+        if occ not in (1, w - 1, w):
+            continue
+        # a zero gradient and a unit noise row read sqrt(q) / W back
+        out = float(win.smoothed(np.ones(1))[0])
+        scale = float(win._noise_scale)
+        assert out == scale / W
+        assert _rel_err(scale, math.sqrt(fsum(alpha ** (2 * r) for r in range(occ)))) <= GEOM_RTOL
+        if alpha == 1.0:
+            assert scale == math.sqrt(occ)
 
 
 def test_smoothed_gradient_noise_is_reproducible():
