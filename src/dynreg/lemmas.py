@@ -22,8 +22,8 @@ import numpy as np
 
 from .meta import InnerAdaptConfig, RoundLoss, RunTrace, run_streams
 from .numerics import ConfigError, check_one_of, spawn_rng_stream
-from .optimizer import alpha_weights, make_config_adagrad, weight_sum_W
-from .regret import _window_sums, variance_proxy
+from .optimizer import _window_means, alpha_weights, make_config_adagrad, weight_sum_W
+from .regret import variance_proxy
 from .tasks import (
     GAUSSIAN,
     SUBGAUSSIAN,
@@ -477,12 +477,11 @@ def mc_smoothed_gradient_lemmas(
         traces = run_streams(
             [sub_stream] * int(n_runs), EXCEEDANCE_HORIZON, inner, opt, range(int(n_runs))
         )
-        worst = []
-        for tr in traces:
-            dev = tr.smoothed_grads - _window_sums(tr.grads, window, alpha)
-            worst.append(float(np.einsum("td,td->t", dev, dev).max()))
-        exceed = sum(dev_sq > col.rhs_scale * mubar for dev_sq in worst)
-        ratio = max(worst) / mubar
+        dev = np.stack([tr.smoothed_grads for tr in traces])
+        dev -= _window_means(np.stack([tr.grads for tr in traces]), window, alpha)
+        worst = np.einsum("rtd,rtd->rt", dev, dev).max(axis=1)
+        exceed = int(np.count_nonzero(worst > col.rhs_scale * mubar))
+        ratio = float(worst.max()) / mubar
         col.check(
             exceed / n_runs,
             delta + 3.0 * math.sqrt(delta / n_runs),

@@ -65,10 +65,12 @@ THETA_RANGE = NON_NEGATIVE
 # The version of what fixes a run's bits beyond its inputs, which the CLI
 # writes into every summary: round t draws 2d normals from the Philox stream
 # keyed by (seed, t), the adaptation noise and then one row for the window's
-# noise, and the window keeps its sum running, re-summed from its rows every
-# w-th push. "2" drew one noise row per occupied slot and summed them; "1"
-# also had each round sum the window's gradients directly.
-RNG_CONTRACT = "3"
+# noise, the window keeps its sum running, re-summed from its rows every
+# w-th push, and the dynamic ledger replays that window, so its window
+# means are the learner's own bits. "3" had the ledger sum every window
+# directly; "2" also drew one noise row per occupied slot and summed them;
+# "1" also had each round sum the window's gradients directly.
+RNG_CONTRACT = "4"
 
 
 @dataclass(frozen=True)

@@ -315,6 +315,19 @@ class SmoothingWindow:
             ring[rows - keep :] = ring[:keep]
         return rows - keep
 
+    def _fill(self, block: np.ndarray) -> None:
+        """Put an empty window in the state that pushing the w rows of block,
+        oldest first, leaves it in, with one re-sum instead of w pushes: the
+        w-th push re-sums S from the rows alone. The rows, newest first, end
+        a ring of its full 2w rows."""
+        w, dim = self.window, block.shape[1]
+        self._ring = np.empty((2 * w, dim))
+        self._ring[w:] = block[::-1]
+        if self.alpha != 1.0:
+            self._weights = np.repeat(alpha_weights(self.alpha, w)[:, None], dim, axis=1)
+        self._head = self._occupied = self._pushes = w
+        self._sum = _weighted_row_sum(self.alpha, self._weights, self._ring[w:])
+
     def gradient_matrix(self) -> np.ndarray:
         """Per-slot exact gradients, newest first, shape (occupied, dim).
 
@@ -353,6 +366,42 @@ class SmoothingWindow:
         total += self._sum
         total /= self._W
         return total
+
+
+def _window_means(G: np.ndarray, w: int, alpha: float) -> np.ndarray:
+    """The exact smoothed gradient of every round of R stacked traces, shape
+    (R, T, d) like their gradient rows G: row t-1 of a trace is
+    (1/W) sum_{r<min(t,w)} alpha^r G[t-1-r], with the bits a SmoothingWindow
+    gives it, because one window replays the rows.
+
+    A window re-sums at every w-th push, so its sums over rounds kw+1 to
+    (k+1)w read only rounds (k-1)w+1 to (k+1)w. Every w-round block of
+    every trace therefore goes side by side into one window of
+    (ceil(T/w) R d)-wide rows, filled with the block before it (w zero rows
+    before the first block, which add and evict nothing), and w pushes give
+    every block's sums. When T <= w the one block is pushed into an empty
+    window, T pushes.
+    """
+    R, T, d = G.shape
+    m = min(w, T)
+    blocks = -(-T // m)
+    if blocks > 1:
+        G = np.concatenate(
+            (np.zeros((R, w, d)), G, np.zeros((R, blocks * w - T, d))), axis=1
+        )
+    # by_block[i, k] is row i of every trace's block k, with the zero block
+    # first when there is one
+    by_block = G.reshape(R, -1, m, d).transpose(2, 1, 0, 3)
+    lead = by_block.shape[1] - blocks
+    window = SmoothingWindow(alpha, w)
+    if lead:
+        window._fill(by_block[:, :blocks].reshape(m, -1))
+    sums = np.empty((m, blocks * R * d))
+    for i, row in enumerate(by_block[:, lead:].reshape(m, -1)):
+        window._store(row)
+        sums[i] = window._sum
+    sums /= window.weight_sum
+    return sums.reshape(m, blocks, R, d).transpose(2, 1, 0, 3).reshape(R, -1, d)[:, :T]
 
 
 def smoothed_stochastic_gradient(

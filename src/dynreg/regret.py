@@ -34,6 +34,7 @@ from .optimizer import (
     _check_window,
     _sq_weight_sum,
     _weighted_row_sum,
+    _window_means,
     alpha_weights,
     weight_sum_W,
 )
@@ -103,7 +104,7 @@ def dlr_cumulative(trace: RunTrace, w: int, alpha: float) -> RegretLedger:
     """Dynamic local regret ledger of a trace."""
     _check_window(w, alpha)
     with np.errstate(over="ignore", invalid="ignore"):
-        S = _window_sums(trace.grads, int(w), float(alpha))
+        S = _window_means(trace.grads[None], int(w), float(alpha))[0]
         per_round = np.einsum("td,td->t", S, S)
         return _ledger("dynamic", int(w), float(alpha), weight_sum_W(alpha, w), per_round)
 
@@ -151,18 +152,6 @@ def _window_rows(T: int, m: int, width: int):
         (T, m, width), buffer=pad, offset=(m - 1) * step, strides=(step, -step, pad.strides[1])
     )
     return pad[m - 1 :], view
-
-
-def _window_sums(G, w: int, alpha: float) -> np.ndarray:
-    """The weighted window average of rows of G at every round, shape (T, d):
-    row t-1 is (1/W) sum_{r<min(t,w)} alpha^r G[t-1-r]."""
-    T, d = G.shape
-    m = min(w, T)
-    rows, win = _window_rows(T, m, d)
-    rows[:] = G
-    # oldest first and (T, d, m), so the product reads each window forwards
-    rev = np.ascontiguousarray(alpha_weights(alpha, m)[::-1])
-    return (win[:, ::-1].transpose(0, 2, 1) @ rev) / weight_sum_W(alpha, w)
 
 
 # The static ledger takes its rounds in blocks of about this many (round,

@@ -157,12 +157,11 @@ class NoiseModel:
             return None
         return sub_gaussian_scale(self.sigma, dim)
 
-    def draw(self, rng: RngStream, dim: int, reps: Optional[int] = None) -> np.ndarray:
-        """Draw additive noise; shape (dim,) or (reps, dim). Exact draws nothing."""
-        shape = (dim,) if reps is None else (reps, dim)
+    def draw(self, rng: RngStream, dim: int) -> np.ndarray:
+        """Draw additive noise of shape (dim,). Exact draws nothing."""
         if self.is_exact:
-            return np.zeros(shape)
-        return self.coord_std(dim) * rng.standard_normal(shape)
+            return np.zeros(dim)
+        return self.coord_std(dim) * rng.standard_normal(dim)
 
 
 @dataclass(frozen=True, eq=False)

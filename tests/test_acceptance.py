@@ -100,7 +100,7 @@ def test_criterion_03_smoothed_noise_variance_matches_mu_within_three_percent():
     for alpha, w in ((1.0, 4), (0.9, 8), (0.5, 2)):
         mu = variance_proxy(noise, w, alpha).mu
         rng = spawn_rng_stream(0, 777_000 + w)
-        draws = noise.draw(rng, d, reps=n_reps * w).reshape(n_reps, w, d)
+        draws = noise.coord_std(d) * rng.standard_normal((n_reps, w, d))
         devs = np.einsum("nwd,w->nd", draws, alpha_weights(alpha, w)) / weight_sum_W(alpha, w)
         est = float((devs**2).sum(axis=1).mean())
         assert abs(est - mu) <= 0.03 * mu, (alpha, w, est, mu)

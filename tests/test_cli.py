@@ -41,7 +41,7 @@ def test_run_writes_csv_and_summary(tmp_path, capsys):
     assert math.isfinite(summary["final_slr"])
     assert summary["config"]["run_seed"] == 3
     assert summary["csv"] == "run_seed3.csv"
-    assert summary["rng_contract"] == "3"  # one window noise row per round
+    assert summary["rng_contract"] == "4"  # the DLR ledger replays the learner's window
     out = capsys.readouterr().out
     assert "seed 3:" in out
 

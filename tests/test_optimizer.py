@@ -215,7 +215,7 @@ def test_alpha_one_row_sum_equals_the_weighted_sum_bit_for_bit(occ, dim):
 @pytest.mark.parametrize("noisy", [False, True])
 @pytest.mark.parametrize("alpha", [1.0, 0.9])
 @pytest.mark.parametrize("dim", [1, 3])
-def test_a_batch_window_sums_each_run_as_its_own_window(dim, alpha, noisy):
+def test_a_batch_window_keeps_each_run_as_its_own_window(dim, alpha, noisy):
     # R runs side by side in (R*dim)-wide rows; numpy sums a lone column
     # pairwise but a block of rows row by row, which the one-coordinate
     # runs must not do. 2w + 9 pushes cover the ring's growth, the re-sums

@@ -30,6 +30,7 @@ from dynreg import (
     make_config_adam,
     make_drifting_sine_stream,
     run_stream,
+    run_streams,
     slr_cumulative,
     spawn_rng_stream,
     sub_gaussian_scale,
@@ -37,7 +38,7 @@ from dynreg import (
     weight_sum_W,
 )
 from dynreg import regret
-from dynreg.regret import _window_sums
+from dynreg.optimizer import _window_means
 
 
 def _trace_from_grads(grads):
@@ -108,15 +109,41 @@ _WINDOW_ROWS = spawn_rng_stream(0, 51).standard_normal((12, 3))
     [(np.array([[1.0, 0.0], [0.0, 2.0]]), 2, 0.5)]
     + [(_WINDOW_ROWS, w, alpha) for w in (1, 5, 20) for alpha in (0.9, 1.0)],
 )
-def test_window_sums_are_the_exact_smoothed_gradients(G, w, alpha):
+def test_window_means_are_the_exact_smoothed_gradients(G, w, alpha):
     trace = _trace_from_grads(G)
-    S = _window_sums(G, w, alpha)
+    S = _window_means(G[None], w, alpha)[0]
     assert S.shape == G.shape
     for t in range(1, len(G) + 1):
         exact = exact_smoothed_gradient(trace, t, w, alpha)
         np.testing.assert_allclose(S[t - 1], exact, rtol=1e-14, atol=0.0)
     per_round = dlr_cumulative(trace, w, alpha).per_round
     assert per_round.tolist() == np.einsum("td,td->t", S, S).tolist()
+
+
+# horizons inside the first window, at its edge, one round past it, at the
+# second re-sum and over several blocks with a partial last one
+@pytest.mark.parametrize("w", [1, 2, 3, 4, 7, 16, 64])
+def test_window_means_replay_the_learners_smoothed_gradients(w):
+    # exact gradients: the run's smoothed gradients are the window's sums
+    # over W, which the replay must give bit for bit at every horizon, and a
+    # batch column must equal its trace's own replay
+    streams = [
+        make_drifting_sine_stream(dim=3, drift_rate=0.3, noise=NoiseModel(EXACT), seed=s)
+        for s in range(3)
+    ]
+    horizons = sorted({1, max(1, w - 1), w, w + 1, 2 * w, 5 * w + 2})
+    for alpha in (1.0, 0.9, 0.5, 1 - 1e-12):
+        opt = make_config_adagrad(eta=0.5, alpha=alpha, window=w)
+        traces = run_streams(streams, horizons[-1], InnerAdaptConfig(theta=0.05), opt, range(3))
+        G = np.stack([tr.grads for tr in traces])
+        smoothed = np.stack([tr.smoothed_grads for tr in traces])
+        for T in horizons:
+            means = _window_means(G[:, :T], w, alpha)
+            assert means.shape == (3, T, 3)
+            assert means.tobytes() == smoothed[:, :T].tobytes(), (alpha, T)
+            for r in range(3):
+                own = _window_means(G[r : r + 1, :T], w, alpha)[0]
+                assert own.tobytes() == means[r].tobytes(), (alpha, T, r)
 
 
 def test_dlr_per_round_is_the_norm_of_the_exact_smoothed_gradient(gaussian_trace):
@@ -205,12 +232,8 @@ def test_a_prefix_run_has_the_first_ledger_values_bit_for_bit(long_trace, k):
     for w in (1, 4, 16, 150, _LONG, 500):
         full = slr_cumulative(long_trace, w).per_round[:k]
         assert slr_cumulative(prefix, w).per_round.tolist() == full.tolist(), w
-    # the dynamic ledger's product groups its terms from the oldest row of a
-    # window min(w, T) rows wide, so its bits match while k covers the window
-    for w in (1, 4, 16, 37, 109):
-        if w <= k:
-            full = dlr_cumulative(long_trace, w, 0.9).per_round[:k]
-            assert dlr_cumulative(prefix, w, 0.9).per_round.tolist() == full.tolist(), w
+        full = dlr_cumulative(long_trace, w, 0.9).per_round[:k]
+        assert dlr_cumulative(prefix, w, 0.9).per_round.tolist() == full.tolist(), w
 
 
 def test_ledgers_of_a_window_wider_than_the_horizon_cost_the_horizon():

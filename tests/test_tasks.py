@@ -60,17 +60,15 @@ def test_noise_model_exact_draws_zeros():
     n = NoiseModel(EXACT)
     assert n.is_exact
     assert n.kappa_for(4) is None
-    out = n.draw(spawn_rng_stream(0, 1), 3, reps=2)
-    assert out.shape == (2, 3)
+    out = n.draw(spawn_rng_stream(0, 1), 3)
+    assert out.shape == (3,)
     assert not out.any()
-    single = n.draw(spawn_rng_stream(0, 1), 3)
-    assert single.shape == (3,)
 
 
 def test_noise_model_total_second_moment():
     noise = NoiseModel(GAUSSIAN, sigma=0.5)
     assert noise.coord_std(4) == 0.25
-    draws = noise.draw(spawn_rng_stream(0, 9), 4, reps=200_000)
+    draws = noise.coord_std(4) * spawn_rng_stream(0, 9).standard_normal((200_000, 4))
     assert draws.shape == (200_000, 4)
     est = float((draws**2).sum(axis=1).mean())
     assert est == pytest.approx(0.25, rel=0.02)
@@ -79,7 +77,7 @@ def test_noise_model_total_second_moment():
 def test_noise_model_draws_are_centred():
     noise = NoiseModel(GAUSSIAN, sigma=0.8)
     n = 50_000
-    draws = noise.draw(spawn_rng_stream(0, 2), 3, reps=n)
+    draws = noise.coord_std(3) * spawn_rng_stream(0, 2).standard_normal((n, 3))
     assert float(np.linalg.norm(draws.mean(axis=0))) <= 5.0 * 0.8 / math.sqrt(n)
 
 
