@@ -35,9 +35,11 @@ from .numerics import (
     spawn_rng_stream,
 )
 from .optimizer import (
+    CONSTANT,
     OptimizerConfig,
     OptimizerState,
     SmoothingWindow,
+    _step_size,
     dts_ag_step,
     make_state,
     smoothed_stochastic_gradient,
@@ -388,6 +390,12 @@ def _replay_run(streams, seeds, r, t, inner, opt, x0) -> None:
     raise RuntimeError(f"run {r} failed round {t} in the array loop but not in run_round")
 
 
+# bytes of noise the array loop draws ahead: a block of rounds holds 2d
+# normals per run and round, so a block has max(1, NOISE_BLOCK_BYTES //
+# (16 R d)) rounds
+NOISE_BLOCK_BYTES = 1 << 14
+
+
 def _play_sine_streams(streams, T, inner, opt, seeds, x0) -> dict:
     """run_round's arithmetic for R sine-family runs, over (R, d) arrays.
 
@@ -396,11 +404,17 @@ def _play_sine_streams(streams, T, inner, opt, seeds, x0) -> dict:
     smoothed_stochastic_gradient and dts_ag_step in their order, so each
     run's rows equal the round-by-round path bit for bit; the lowest run
     with a non-finite entry in a round is replayed through run_round from
-    round 1, which raises its errors. One Philox is re-keyed to (seed, t)
-    for each run's round; a round's adaptation draw and its one window draw
-    come from one (2, d) call, which yields the same sequence as two. One
-    SmoothingWindow holds the R runs side by side, one (R*d)-wide row per
-    round. Returns the trace arrays with the runs first.
+    round 1, which raises its errors. The noise of a block of rounds is
+    drawn before they are played: one Philox is re-keyed to (seed, t) for
+    each run's round, unchecked since run_streams checked every seed and
+    the horizon, and a round's adaptation draw and its one window draw come
+    from one call that fills a (2, d) row, which yields the same sequence
+    as two. Each round comes from its own key, so drawing it early changes
+    no draw (Salmon et al.). One SmoothingWindow holds the R runs side by
+    side, one (R, d) row per round. The round body works in place: it
+    writes the adapted point, loss, gradient, smoothed gradient and next
+    iterate straight into their trace rows and allocates nothing. Returns
+    the trace arrays with the runs first.
     """
     R, d = len(streams), streams[0].dim
     A = np.empty((T, R, d))  # round t's rows at t - 1
@@ -410,60 +424,95 @@ def _play_sine_streams(streams, T, inner, opt, seeds, x0) -> dict:
     D = float(streams[0].amplitude)
     noise = streams[0].noise
     noisy = not noise.is_exact
-    coord_std = noise.coord_std(d) if noisy else 0.0
-    sqrt_tb = math.sqrt(inner.train_batch)
-    theta = float(inner.theta)
     window = SmoothingWindow(opt.alpha, opt.window)
-    beta1, beta2, eps = opt.beta1, opt.beta2, opt.epsilon
-    rng = spawn_rng_stream(seeds[0], 1)  # re-keyed to (seeds[r], t) for run r's round t
-    draws = np.empty((2, R, d))  # run r's normals of a round: draws[:, r]
+    if opt.schedule == CONSTANT:
+        etas = [opt.eta] * T
+    else:
+        etas = [_step_size(opt, t) for t in range(1, T + 1)]
+    # the scalars as 0-d arrays, which numpy takes faster than Python floats
+    theta, beta1, beta2, eps = (
+        np.array(float(c)) for c in (inner.theta, opt.beta1, opt.beta2, opt.epsilon)
+    )
+    eta_rows = np.array(etas)[:, None]  # round t's step size as a (1,) row at t - 1
 
-    iterates, adapted, grads, smoothed = (np.empty((T, R, d)) for _ in range(4))
-    losses = np.empty((T, R, 1))  # sine_round_rows gives each round's losses as a column
-    etas = [step_size_at(opt, t) for t in range(1, T + 1)]
-
-    x = np.empty((R, d))
-    x[:] = x0
+    # iterates has a row for x_{T+1}, which only the last round's check reads
+    iterates = np.empty((T + 1, R, d))
+    adapted, grads, smoothed = (np.empty((T, R, d)) for _ in range(3))
+    losses = np.empty((T, R, 1))  # sine_round_rows writes each round's losses as a column
+    iterates[0] = x0
     m = np.zeros((R, d))
     v = np.zeros((R, d))
-    for i in range(T):
-        t = i + 1
+    g_in, u, work, root = np.empty((4, R, d))
+    scratch = np.empty((4, R, d))
+    if noisy:
+        rng = spawn_rng_stream(seeds[0], 1)
+        set_key, draw = rng._set_key, rng.standard_normal
+        coord_std = noise.coord_std(d)
+        sqrt_tb = math.sqrt(inner.train_batch)
+        rounds = min(T, max(1, NOISE_BLOCK_BYTES // (16 * R * d)))
+        # z[j, r] holds run r's normals of the block's round j: the
+        # adaptation noise z[j, r, 0], then the window's z[j, r, 1]
+        z = np.empty((rounds, R, 2, d))
+    else:
+        rounds = T
+    for lo in range(0, T, rounds):
+        hi = min(lo + rounds, T)
         if noisy:
-            for r, seed in enumerate(seeds):
-                draws[:, r] = rng.rekey(t, seed).standard_normal((2, d))
-            z = coord_std * draws
-        _, g_in, u, val, g = sine_round_rows(A[i], B[i], x, D, theta)
-        # inner_adapt; with exact gradients the adapted point is U(x)
-        xhat = x - theta * (g_in + z[0] / sqrt_tb) if noisy else u
-        # SmoothingWindow.push, its checks made below
-        window._store(g.reshape(-1))
-        # smoothed_stochastic_gradient
-        gt = window.smoothed(z[1].reshape(R * d) if noisy else None).reshape(R, d)
-        # dts_ag_step
-        m = beta1 * m + gt
-        v = beta2 * v + gt * gt
-        x_new = x - etas[i] * m / np.sqrt(eps + v)
-        # a non-finite s, loss, gradient or g~ leaves nan in xhat or x_new, and
-        # an overflowed v is inf, so one sum finds every failure; it also
-        # overflows when finite entries near the float limit add up
-        if not math.isfinite(np.add.reduce(xhat + x_new + v, axis=None)):
-            failed = np.flatnonzero(~np.isfinite([xhat, x_new, v]).all(axis=(0, 2)))
-            if failed.size:
-                _replay_run(streams, seeds, int(failed[0]), t, inner, opt, x0)
-        iterates[i] = x
-        adapted[i] = xhat
-        losses[i] = val
-        grads[i] = g
-        smoothed[i] = gt
-        x = x_new
+            block = z[: hi - lo]
+            for j in range(hi - lo):
+                t = lo + j + 1
+                for r, seed in enumerate(seeds):
+                    set_key(t, seed)
+                    draw(out=block[j, r])
+            np.multiply(block, coord_std, block)
+            za, zw = block[:, :, 0], block[:, :, 1]
+            np.divide(za, sqrt_tb, za)
+        for i in range(lo, hi):
+            x, x_new, xhat = iterates[i], iterates[i + 1], adapted[i]
+            g, gt = grads[i], smoothed[i]
+            # RoundLoss.value_and_grad; with exact gradients the adapted
+            # point is U(x)
+            sine_round_rows(
+                A[i], B[i], x, D, theta,
+                g_in=g_in, u=u if noisy else xhat, loss=losses[i], grad=g, scratch=scratch,
+            )
+            if noisy:  # inner_adapt
+                np.add(g_in, za[i - lo], work)
+                np.multiply(work, theta, work)
+                np.subtract(x, work, xhat)
+            # SmoothingWindow.push, its checks made below
+            window._store(g)
+            # smoothed_stochastic_gradient
+            window.smoothed(zw[i - lo] if noisy else None, gt)
+            # dts_ag_step
+            np.multiply(m, beta1, m)
+            np.add(m, gt, m)
+            np.multiply(v, beta2, v)
+            np.multiply(gt, gt, work)
+            np.add(v, work, v)
+            np.multiply(m, eta_rows[i], work)
+            np.add(v, eps, root)
+            np.sqrt(root, root)
+            np.divide(work, root, work)
+            np.subtract(x, work, x_new)
+            # a non-finite s, loss, gradient or g~ leaves nan in xhat or x_new,
+            # and an overflowed v is inf, so one sum finds every failure; it
+            # also overflows when finite entries near the float limit add up
+            np.add(xhat, x_new, work)
+            np.add(work, v, work)
+            if not math.isfinite(np.add.reduce(work, axis=None)):
+                failed = np.flatnonzero(~np.isfinite([xhat, x_new, v]).all(axis=(0, 2)))
+                if failed.size:
+                    _replay_run(streams, seeds, int(failed[0]), i + 1, inner, opt, x0)
     arrays = {
-        "iterates": iterates,
+        "iterates": iterates[:T],
         "adapted": adapted,
         "losses": losses[:, :, 0],
         "grads": grads,
         "smoothed_grads": smoothed,
     }
-    del iterates, adapted, losses, grads, smoothed
+    # the loop's views hold their buffers too
+    del iterates, adapted, losses, grads, smoothed, x, x_new, xhat, g, gt
     # runs first, each run's rows contiguous: a copy when R > 1, made one
     # array at a time so that each buffer is freed as its copy is stored
     for name, arr in arrays.items():

@@ -150,8 +150,11 @@ class RngStream:
         its cost, so one generator can serve many seeds in turn.
         """
         sid = _check_key_part("stream_id", stream_id)
-        if seed is not None:
-            self.seed = _check_key_part("seed", seed)
+        return self._set_key(sid, self.seed if seed is None else _check_key_part("seed", seed))
+
+    def _set_key(self, stream_id: int, seed: int) -> "RngStream":
+        """rekey's switch, unchecked: stream_id and seed are integers in
+        [0, 2^64). For loops whose keys were checked once up front."""
         if self._state is None:  # built on first use: most streams are never re-keyed
             self._state = {
                 "bit_generator": "Philox",
@@ -165,14 +168,17 @@ class RngStream:
                 "uinteger": 0,
             }
         key = self._state["state"]["key"]
-        key[0] = sid
-        key[1] = self.seed
+        key[0] = stream_id
+        key[1] = seed
         self._gen.bit_generator.state = self._state
-        self.stream_id = sid
+        self.seed = seed
+        self.stream_id = stream_id
         return self
 
-    def standard_normal(self, size=None) -> np.ndarray | float:
-        return self._gen.standard_normal(size)
+    def standard_normal(self, size=None, out=None) -> np.ndarray | float:
+        """Standard normals of the given size, or written into out, a
+        C-contiguous float64 array, in its memory order."""
+        return self._gen.standard_normal(size, out=out)
 
     def uniform(self, low: float = 0.0, high: float = 1.0, size=None):
         return self._gen.uniform(low, high, size)

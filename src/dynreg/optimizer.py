@@ -177,13 +177,13 @@ def _weighted_row_sum(alpha: float, weights: np.ndarray, rows: np.ndarray) -> np
     pairwise, so a one-column block is accumulated instead; adding 0.0
     matches the reduction, which starts from +0.0, also in the sign of a
     zero. Each column then sums to the same bits whatever the block's
-    width, which lets a window hold runs side by side. At alpha = 1 every
-    weight is exactly 1.0, so each product would be an exact copy of its
-    row, and the products are skipped.
+    width or row shape, which lets a window hold runs side by side. At
+    alpha = 1 every weight is exactly 1.0, so each product would be an
+    exact copy of its row, and the products are skipped.
     """
     if alpha != 1.0:
         rows = weights[: len(rows)] * rows
-    if rows.shape[1] > 1:
+    if rows.size > len(rows):
         return rows.sum(axis=0)
     return np.add.accumulate(rows)[-1] + 0.0
 
@@ -214,10 +214,11 @@ class SmoothingWindow:
     from the ring with _weighted_row_sum instead, since the rounding a
     recursion carries grows with its number of terms (Higham, ch. 4). So an
     exact query costs O(d), and after every w-th push S equals the direct
-    sum bit for bit. The array run loop keeps R runs side by side in one
-    window of (R*d)-wide rows: it fills the ring through _store, which
-    skips push's checks, and every sum is taken per column, so each run's
-    block equals its own window's bit for bit.
+    sum bit for bit. The ring's rows take the shape of the first row
+    stored. The array run loop keeps R runs side by side in one window of
+    (R, d) rows: it fills the ring through _store, which skips push's
+    checks, and every sum is taken per entry, so each run's rows equal its
+    own window's bit for bit.
     """
 
     def __init__(self, alpha: float, window: int):
@@ -256,17 +257,17 @@ class SmoothingWindow:
             raise DimensionError(
                 f"gradient shape {g.shape} does not match iterate shape {x.shape}"
             )
-        if self._ring is not None and g.size != self._ring.shape[1]:
+        if self._ring is not None and g.shape != self._ring.shape[1:]:
             raise DimensionError(
                 f"gradient has length {g.size}, the window holds length {self._ring.shape[1]}"
             )
         self._store(g)
 
     def _store(self, g: np.ndarray) -> None:
-        """push's update, unchecked: g is a 1-D gradient of the window's length."""
+        """push's update, unchecked: g is a gradient row of the window's shape."""
         head = self._head
         if head == 0:
-            head = self._make_room(g.size)
+            head = self._make_room(g.shape)
         head -= 1
         ring = self._ring
         ring[head] = g
@@ -293,7 +294,7 @@ class SmoothingWindow:
             np.multiply(evicted, self._evicted_weight, evicted)
         np.subtract(S, evicted, S)
 
-    def _make_room(self, dim: int) -> int:
+    def _make_room(self, shape: tuple) -> int:
         """Free the rows above the window and return the new head: at the
         first push allocate the ring, and later move the newest
         min(occupied, w) rows to its end, into a ring of twice the rows (at
@@ -302,15 +303,14 @@ class SmoothingWindow:
         keep = min(self._occupied, w)
         rows = min(2 * w, _FIRST_ROWS if ring is None else 2 * len(ring))
         if ring is None or len(ring) < rows:
-            grown = np.empty((rows, dim))
+            grown = np.empty((rows, *shape))
             if keep:
                 grown[rows - keep :] = ring[:keep]
             self._ring = grown
             if self.alpha != 1.0:
-                column = alpha_weights(self.alpha, min(rows, w))[:, None]
-                self._weights = np.repeat(column, dim, axis=1)
+                self._weights = _entry_weights(self.alpha, min(rows, w), shape)
             if ring is None:
-                self._sum = np.zeros(dim)
+                self._sum = np.zeros(shape)
         else:
             ring[rows - keep :] = ring[:keep]
         return rows - keep
@@ -324,7 +324,7 @@ class SmoothingWindow:
         self._ring = np.empty((2 * w, dim))
         self._ring[w:] = block[::-1]
         if self.alpha != 1.0:
-            self._weights = np.repeat(alpha_weights(self.alpha, w)[:, None], dim, axis=1)
+            self._weights = _entry_weights(self.alpha, w, (dim,))
         self._head = self._occupied = self._pushes = w
         self._sum = _weighted_row_sum(self.alpha, self._weights, self._ring[w:])
 
@@ -338,12 +338,16 @@ class SmoothingWindow:
             raise DimensionError("window is empty; push at least one round first")
         return self._ring[self._head : self._head + self._occupied]
 
-    def smoothed(self, noise: Optional[np.ndarray] = None) -> np.ndarray:
-        """(1/W) (S + sqrt(q) noise) over the occupied slots.
+    def smoothed(
+        self, noise: Optional[np.ndarray] = None, out: Optional[np.ndarray] = None
+    ) -> np.ndarray:
+        """(1/W) (S + sqrt(q) noise) over the occupied slots, written into
+        out when it is given (an array of the window's row shape) and
+        returned.
 
         S = sum_r alpha^r g_r is the running sum of the slots' gradients and
         q = sum_{r<occupied} alpha^(2r). noise, when given, is one row of the
-        window's length. If its entries are independent N(0, c^2), then
+        window's shape. If its entries are independent N(0, c^2), then
         sqrt(q) noise has the law of sum_r alpha^r n_r over independent
         N(0, c^2 I) rows n_r, one per slot, which is what the window's
         noise is; so one row stands for occupied rows. sqrt(q) is computed
@@ -353,7 +357,7 @@ class SmoothingWindow:
         if occ == 0:
             raise DimensionError("window is empty; push at least one round first")
         if noise is None:
-            return self._sum / self._W
+            return np.divide(self._sum, self._W, out)
         if noise.shape != self._sum.shape:
             raise DimensionError(
                 f"noise must be one row of the window's length {self._sum.size}, "
@@ -362,10 +366,15 @@ class SmoothingWindow:
         if occ != self._noise_scale_occ:
             self._noise_scale = np.array(math.sqrt(_sq_weight_sum(self.alpha, occ)))
             self._noise_scale_occ = occ
-        total = noise * self._noise_scale
-        total += self._sum
-        total /= self._W
-        return total
+        out = np.multiply(noise, self._noise_scale, out)
+        np.add(out, self._sum, out)
+        return np.divide(out, self._W, out)
+
+
+def _entry_weights(alpha: float, n: int, shape: tuple) -> np.ndarray:
+    """alpha^r in every entry of row r < n of rows of the given shape."""
+    column = alpha_weights(alpha, n)[:, None]
+    return np.repeat(column, math.prod(shape), axis=1).reshape(n, *shape)
 
 
 def _window_means(G: np.ndarray, w: int, alpha: float) -> np.ndarray:
@@ -426,7 +435,11 @@ def step_size_at(config: OptimizerConfig, t: int) -> float:
     eta (1-beta1) sqrt((1-beta2^(t+1)) / (1-beta2)), which is exactly
     eta (1-beta1) at t = 0.
     """
-    t = check_int("t", t, low=0)
+    return _step_size(config, check_int("t", t, low=0))
+
+
+def _step_size(config: OptimizerConfig, t: int) -> float:
+    """step_size_at, unchecked: t is an integer >= 0."""
     if config.schedule == CONSTANT:
         return config.eta
     num = 1.0 - config.beta2 ** (t + 1)

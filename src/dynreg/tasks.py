@@ -192,45 +192,102 @@ def sine_argument(a: np.ndarray, x: np.ndarray, b: float, t: int) -> float:
     return s
 
 
-def _row_dots(A: np.ndarray, X: np.ndarray):
-    """<a_i, x_i> for each row pair: an (R, 1) column, or a numpy scalar when
-    R = 1, whose arithmetic costs a fraction of a one-element array's.
-
-    On this numpy build the batched product A[:, None, :] @ X[:, :, None]
-    equals np.dot(a_i, x_i) bit for bit; einsum and (A * X).sum(1) do not.
-    """
-    if len(A) == 1:
-        return np.dot(A[0], X[0])
-    return (A[:, None, :] @ X[:, :, None])[:, :, 0]
-
-
 def sine_round_rows(
-    A: np.ndarray, B: np.ndarray, X: np.ndarray, amplitude: float, theta: float
+    A: np.ndarray,
+    B: np.ndarray,
+    X: np.ndarray,
+    amplitude: float,
+    theta: float,
+    *,
+    g_in: Optional[np.ndarray] = None,
+    u: Optional[np.ndarray] = None,
+    loss: Optional[np.ndarray] = None,
+    grad: Optional[np.ndarray] = None,
+    scratch: Optional[np.ndarray] = None,
 ):
     """Round losses D sin(<a_i, U(x_i)> + b_i) and their gradients, row by row.
 
     Row i holds one round's direction a_i, phase b_i and point x_i; U(x) =
     x - theta D cos(<a, x> + b) a is the exact inner step. Returns
-    (s, g_in, u, loss, grad): s_i = <a_i, x_i> + b_i and the loss as an
-    (R, 1) column, or as numpy scalars when R = 1; the inner gradient
+    (s, g_in, u, loss, grad): s_i = <a_i, x_i> + b_i and the loss as
+    (R, 1) columns, or as floats when R = 1 (the loss in its given column
+    when there is one); the inner gradient
     g_in = D cos(s) a, u = U(x) and the composite gradient
     g_out - theta (-D sin(s)) <a, g_out> a, with g_out = D cos(<a, u> + b) a,
     with shape (R, d).
 
+    g_in, u and grad, when given, are caller-owned (R, d) arrays the rows
+    are written into, loss an (R, 1) column, and scratch a (4, R, d) array
+    of work rows, which an R > 1 call's s is a view into; what is not
+    given is allocated. So a loop that owns them allocates nothing.
+
     The operations are make_sine_task's and RoundLoss.value_and_grad's, in
-    their order, so each row equals those scalar oracles bit for bit.
-    Nothing is checked: a non-finite s leaves nan in g_in and everything
-    after it, and a non-finite <a, u> + b nan in the loss and the gradient.
+    their order, so each row equals those scalar oracles bit for bit. When
+    R = 1 the scalar chain runs on Python floats through math.cos and
+    math.sin, as the oracles do, and the dot products are np.dot's
+    (a.dot(x) is the same function without its dispatch). When R > 1 they
+    are the batched product A[:, None, :] @ X[:, :, None], which equals
+    np.dot bit for bit on this numpy build (einsum and (A * X).sum(1) do
+    not). Nothing is checked: a non-finite s leaves nan in g_in and
+    everything after it, and a non-finite <a, u> + b nan in the loss and
+    the gradient.
     """
+    R, d = X.shape
     D = float(amplitude)
-    b = B[0] if len(B) == 1 else B[:, None]
-    s = _row_dots(A, X) + b
-    g_in = D * np.cos(s) * A
-    u = X - theta * g_in
-    su = _row_dots(A, u) + b
-    g_out = D * np.cos(su) * A
-    corr = -D * np.sin(s) * _row_dots(A, g_out) * A
-    return s, g_in, u, D * np.sin(su), g_out - theta * corr
+    if g_in is None:
+        g_in = np.empty((R, d))
+    if u is None:
+        u = np.empty((R, d))
+    if grad is None:
+        grad = np.empty((R, d))
+    if scratch is None:
+        scratch = np.empty((4, R, d))
+    work = scratch[0]
+    if R == 1:
+        a, b = A[0], float(B[0])
+        s = float(a.dot(X[0])) + b
+        # math.cos(inf) raises where np.cos returns nan
+        sf = s if math.isfinite(s) else math.nan
+        np.multiply(A, D * math.cos(sf), g_in)
+        np.multiply(g_in, theta, work)
+        np.subtract(X, work, u)
+        su = float(a.dot(u[0])) + b
+        if not math.isfinite(su):
+            su = math.nan
+        np.multiply(A, D * math.cos(su), grad)  # g_out, corrected in place below
+        np.multiply(A, -D * math.sin(sf) * float(a.dot(grad[0])), work)
+        value = D * math.sin(su)
+        if loss is None:
+            loss = value
+        else:
+            loss[0] = value
+    else:
+        s, su, c = (scratch[k, :, :1] for k in (1, 2, 3))
+        A3, b = A[:, None, :], B[:, None]
+        if loss is None:
+            loss = np.empty((R, 1))
+        np.matmul(A3, X[:, :, None], s[:, :, None])
+        np.add(s, b, s)
+        np.cos(s, c)
+        np.multiply(c, D, c)
+        np.multiply(c, A, g_in)
+        np.multiply(g_in, theta, work)
+        np.subtract(X, work, u)
+        np.matmul(A3, u[:, :, None], su[:, :, None])
+        np.add(su, b, su)
+        np.cos(su, c)
+        np.multiply(c, D, c)
+        np.multiply(c, A, grad)  # g_out, corrected in place below
+        np.sin(su, loss)
+        np.multiply(loss, D, loss)
+        np.matmul(A3, grad[:, :, None], c[:, :, None])
+        np.sin(s, su)
+        np.multiply(su, -D, su)
+        np.multiply(su, c, su)
+        np.multiply(su, A, work)
+    np.multiply(work, theta, work)
+    np.subtract(grad, work, grad)
+    return s, g_in, u, loss, grad
 
 
 def make_sine_task(

@@ -229,6 +229,54 @@ def test_run_streams_equals_one_run_stream_per_run(case):
             assert np.array_equal(getattr(trace, name), getattr(ref, name)), name
 
 
+# every noise law and preset, alpha < 1 and alpha = 1, for the noise blocks
+# of the array loop
+BLOCK_EDGE_CASES = {
+    "gaussian-adagrad-alpha1": (
+        NoiseModel(GAUSSIAN, sigma=0.5), make_config_adagrad(eta=0.2, alpha=1.0, window=4)
+    ),
+    "gaussian-adam-alpha0.9": (
+        NoiseModel(GAUSSIAN, sigma=0.5),
+        make_config_adam(eta=0.05, beta1=0.9, beta2=0.99, alpha=0.9, window=6),
+    ),
+    "subgaussian-adagrad-alpha0.8": (
+        NoiseModel(SUBGAUSSIAN, sigma=0.9), make_config_adagrad(eta=0.2, alpha=0.8, window=5)
+    ),
+    "subgaussian-adam-alpha1": (
+        NoiseModel(SUBGAUSSIAN, sigma=0.9), make_config_adam(eta=0.05, alpha=1.0, window=3)
+    ),
+}
+
+
+@pytest.mark.parametrize("runs", [1, 3])
+@pytest.mark.parametrize("case", list(BLOCK_EDGE_CASES))
+def test_the_array_loop_keeps_every_bit_across_noise_blocks(case, runs):
+    # the loop draws the noise of k rounds ahead; horizons one short of a
+    # block, one block, one round into the next and one into the third
+    noise, opt = BLOCK_EDGE_CASES[case]
+    d = 3
+    k = max(1, dynreg.meta.NOISE_BLOCK_BYTES // (16 * runs * d))
+    inner = InnerAdaptConfig(theta=0.05)
+    streams, seeds = _batch_streams(noise, d)[-runs:], [5, 2, 9][-runs:]
+    horizons = [T for T in (k - 1, k, k + 1, 2 * k + 1) if T >= 1]
+    # a run's first T rounds do not depend on its horizon, so one round loop
+    # of the longest horizon is every horizon's reference
+    refs = []
+    for stream, seed in zip(streams, seeds):
+        state, rows = make_meta_state(np.zeros(d), opt), {name: [] for name in TRACE_ARRAYS}
+        for t in range(1, horizons[-1] + 1):
+            state, rec = run_round(state, stream.task(t), inner, opt, spawn_rng_stream(seed, t))
+            for name, value in zip(TRACE_ARRAYS, (
+                rec.iterate, rec.adapted, rec.loss, rec.grad, rec.smoothed_grad, rec.step_size
+            )):
+                rows[name].append(value)
+        refs.append({name: np.array(value) for name, value in rows.items()})
+    for T in horizons:
+        for trace, ref in zip(run_streams(streams, T, inner, opt, seeds), refs):
+            for name in TRACE_ARRAYS:
+                assert np.array_equal(getattr(trace, name), ref[name][:T]), (T, name)
+
+
 def test_run_streams_validates_the_batch():
     noise = NoiseModel(GAUSSIAN, sigma=0.5)
     inner = InnerAdaptConfig(theta=0.05)
@@ -445,6 +493,24 @@ def test_run_stream_reports_a_non_finite_sine_argument_like_the_round_loop(case)
     assert message == "round 1 produced a non-finite sine argument <a, x> + b"
 
 
+@pytest.mark.parametrize("case", list(SINE_ARGUMENT_CASES))
+def test_a_batch_reports_a_non_finite_sine_argument_of_its_second_run(case):
+    # run 0's ||a|| = 1e-300 keeps its arguments small; run 1's overflows
+    # in round 1 as in the one-run cases above
+    noise, theta, x0 = SINE_ARGUMENT_CASES[case]
+    streams = [
+        make_drifting_sine_stream(dim=1, freq_scale=scale, drift_rate=0.05, noise=noise, seed=2)
+        for scale in (1e-300, 2.0)
+    ]
+    inner = InnerAdaptConfig(theta=theta, train_batch=1)
+    opt = make_config_adagrad(eta=0.2, alpha=1.0, window=4)
+    with np.errstate(over="ignore", invalid="ignore"):
+        message = _numeric_error(
+            lambda: run_streams(streams, 5, inner, opt, [3, 2], np.full(1, x0))
+        )
+    assert message == "run 1 (seed 2): round 1 produced a non-finite sine argument <a, x> + b"
+
+
 def test_round_losses_rebuilt_from_the_stream_reproduce_recorded_values():
     trace = run_stream(
         _stream(),
@@ -583,6 +649,25 @@ def test_a_wide_window_costs_memory_for_the_rounds_played_only(alpha):
     finally:
         tracemalloc.stop()
     assert peak < 1_000_000
+
+
+def test_a_large_batch_draws_its_noise_in_blocks_of_a_few_rounds():
+    # the shape of the lemma Monte Carlo exceedance check: its five (T, R, d)
+    # trace arrays take 1.6 MB and its peak is about 2.7 MB; noise drawn for
+    # all 16 rounds of the 500 runs at once would add 0.6 MB
+    inner = InnerAdaptConfig(theta=0.05)
+    opt = make_config_adagrad(eta=0.1, alpha=0.9, window=4)
+    stream = make_drifting_sine_stream(
+        dim=5, drift_rate=0.05, noise=NoiseModel(SUBGAUSSIAN, sigma=0.9), seed=0
+    )
+    run_streams([stream] * 500, 16, inner, opt, range(500))  # first-use imports and caches
+    tracemalloc.start()
+    try:
+        run_streams([stream] * 500, 16, inner, opt, range(500))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3_000_000
 
 
 def test_the_window_noise_of_a_partial_window_has_its_variance():

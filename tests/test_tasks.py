@@ -129,6 +129,48 @@ def test_sine_round_rows_equal_the_scalar_oracles(d):
         assert np.array_equal(grad[i], g)
 
 
+@pytest.mark.parametrize("d", [1, 4, 10])
+def test_one_row_of_sine_round_rows_equals_the_scalar_oracles(d):
+    # R = 1 runs the scalar chain on floats; written into caller-owned rows
+    # whose stale contents must not leak into the results
+    rng = spawn_rng_stream(d, 8)
+    D, theta = 1.3, 0.07
+    g_in, u, grad = (np.full((1, d), np.nan) for _ in range(3))
+    loss, scratch = np.full((1, 1), np.nan), np.full((4, 1, d), np.nan)
+    for _ in range(200):
+        a = rng.standard_normal(d) * rng.uniform(0.1, 3.0)
+        x = rng.uniform(-4.0, 4.0, size=d)
+        b = float(rng.uniform(0.0, 2.0 * math.pi))
+        task = make_sine_task(1, D, a, b, NoiseModel(EXACT))
+        rl = RoundLoss(task, theta)
+        val, g = rl.value_and_grad(x)
+        s, *rows, value, _ = tasks.sine_round_rows(a[None], np.array([b]), x[None], D, theta)
+        assert s == tasks.sine_argument(a, x, b, 1)
+        assert value == val
+        out = tasks.sine_round_rows(
+            a[None], np.array([b]), x[None], D, theta,
+            g_in=g_in, u=u, loss=loss, grad=grad, scratch=scratch,
+        )
+        assert all(got is want for got, want in zip(out[1:], (g_in, u, loss, grad)))
+        for row in (g_in, rows[0]):
+            assert np.array_equal(row[0], task.grad(x))
+        for row in (u, rows[1]):
+            assert np.array_equal(row[0], rl.adapted(x))
+        assert loss[0, 0] == val
+        assert np.array_equal(grad[0], g)
+
+
+@pytest.mark.parametrize("x, theta", [(1e308, 0.05), (0.0, 6e307)])
+def test_a_non_finite_sine_argument_leaves_nan_in_one_row(x, theta):
+    # ||a|| = 2: <a, x> + b overflows at x, or at U(x) while x is finite;
+    # math.cos(inf) raises ValueError, so the scalar chain must not reach it
+    a, b = np.array([2.0]), np.array([0.3])
+    with np.errstate(over="ignore", invalid="ignore"):
+        s, g_in, u, loss, grad = tasks.sine_round_rows(a[None], b, np.array([[x]]), 1.0, theta)
+    assert math.isnan(loss) and np.isnan(grad).all()
+    assert math.isinf(s) == (x != 0.0)
+
+
 def test_sine_argument_is_checked_in_every_oracle():
     a = np.array([0.6, -0.8])
     x = np.array([0.2, 0.7])
