@@ -19,6 +19,7 @@ from math import fsum
 from typing import Optional
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .meta import InnerAdaptConfig, RoundLoss, RunTrace, run_streams
 from .numerics import ConfigError, check_one_of, spawn_rng_stream
@@ -116,20 +117,67 @@ class _Collector:
         if slack < -_TOL * max(1.0, abs(rhs)):
             self.result.violations.append(Violation(params=params, lhs=lhs, rhs=rhs))
 
+    def check_many(self, lhs, rhs, params_at) -> None:
+        """check(lhs[idx], rhs[idx], **params_at(*idx)) for every index idx
+        of lhs in C order, over arrays; rhs broadcasts against lhs.
+
+        The decisions are check's, point by point in that order: the first
+        point of the least slack becomes tightest, a nan slack never counts,
+        and violations are appended in order. params_at gets a point's index
+        as Python ints and is called only for the tightest point and the
+        violations.
+        """
+        lhs = np.asarray(lhs, dtype=float)
+        shape = lhs.shape
+
+        def params(i: int) -> dict:
+            return params_at(*(int(j) for j in np.unravel_index(i, shape)))
+
+        with np.errstate(over="ignore", invalid="ignore"):
+            rhs = np.asarray(rhs, dtype=float) * self.rhs_scale
+            rhs = np.broadcast_to(rhs, shape).ravel()
+            lhs = lhs.ravel()
+            slack = rhs - lhs
+            tol = np.abs(rhs)
+            np.fmax(tol, 1.0, out=tol)  # fmax(nan, 1) is 1, as max(1.0, nan) is
+            tol *= -_TOL
+            failed = slack < tol
+        self.result.grid_size += slack.size
+        if slack.size == 0:
+            return
+        least = np.fmin.reduce(slack)  # nan only when every slack is
+        if least < self.result.max_slack:
+            # the first point equal to the least, keeping its sign of zero
+            i = int(np.argmax(slack == least))
+            self.result.max_slack = float(slack[i])
+            self.result.tightest = params(i)
+        for i in np.flatnonzero(failed).tolist():
+            self.result.violations.append(
+                Violation(params=params(i), lhs=float(lhs[i]), rhs=float(rhs[i]))
+            )
+
     def done(self) -> LemmaCheckResult:
         self.result.elapsed_s = time.perf_counter() - self._t0
         return self.result
 
 
 def _prefix_checker(lemma_id: str, term, rhs_of, rhs_scale: float) -> LemmaCheckResult:
-    """Sweep sum_{q<Q} term(a, q) <= rhs_of(a) over the a and Q grids."""
+    """Sweep sum_{q<Q} t_q <= rhs_of(a) over the a and Q grids, with the
+    terms t = term(a**q, q) for q = 0..max(Q)-1.
+
+    term gets a**q as Python's pow computes it (numpy's power may differ
+    in the last bit) and q as floats, and combines them with correctly
+    rounded array operations, so each term keeps the scalar loop's bits.
+    """
     col = _Collector(lemma_id, rhs_scale)
     qmax = max(_Q_GRID)
+    q = np.arange(qmax, dtype=float)
+    lhs = []
     for a in _A_GRID:
-        terms = [term(a, q) for q in range(qmax)]
-        rhs = rhs_of(a)
-        for Q in _Q_GRID:
-            col.check(fsum(terms[:Q]), rhs, a=a, Q=Q)
+        terms = memoryview(term(np.array([a**k for k in range(qmax)]), q))
+        lhs.append([fsum(terms[:Q]) for Q in _Q_GRID])
+    rhs = np.array([[rhs_of(a)] for a in _A_GRID])
+    col.check_many(lhs, rhs, lambda i, j: {"a": _A_GRID[i], "Q": _Q_GRID[j]})
     return col.done()
 
 
@@ -137,7 +185,7 @@ def check_geom_sqrt_sum(rhs_scale: float = 1.0) -> LemmaCheckResult:
     """sum_{q=0}^{Q-1} a^q sqrt(q+1) <= 2 / (1-a)^(3/2) for 0 < a < 1."""
     return _prefix_checker(
         "geom-sqrt-sum",
-        lambda a, q: a**q * math.sqrt(q + 1.0),
+        lambda p, q: p * np.sqrt(q + 1.0),
         lambda a: 2.0 / (1.0 - a) ** 1.5,
         rhs_scale,
     )
@@ -147,7 +195,7 @@ def check_geom_32_sum(rhs_scale: float = 1.0) -> LemmaCheckResult:
     """sum_{q=0}^{Q-1} a^q sqrt(q) (q+1) <= 4a / (1-a)^(5/2) for 0 < a < 1."""
     return _prefix_checker(
         "geom-three-halves-sum",
-        lambda a, q: a**q * math.sqrt(q) * (q + 1.0),
+        lambda p, q: p * np.sqrt(q) * (q + 1.0),
         lambda a: 4.0 * a / (1.0 - a) ** 2.5,
         rhs_scale,
     )
@@ -157,7 +205,7 @@ def check_inv_sqrt_geom(rhs_scale: float = 1.0) -> LemmaCheckResult:
     """sum_{q=0}^{Q-1} a^q / sqrt(q+1) <= 2 / (a sqrt(1-a)) for 0 < a < 1."""
     return _prefix_checker(
         "inv-sqrt-geom",
-        lambda a, q: a**q / math.sqrt(q + 1.0),
+        lambda p, q: p / np.sqrt(q + 1.0),
         lambda a: 2.0 / (a * math.sqrt(1.0 - a)),
         rhs_scale,
     )
@@ -174,13 +222,18 @@ def _named_positive_sequences(eps: float, n: int) -> dict:
     }
 
 
-def _sequence_fsums(terms: np.ndarray) -> list:
-    """fsum over each sequence, the columns of a (steps, sequences) array.
+def _row_fsums(rows: np.ndarray, occupied=None) -> list:
+    """fsum over each row of a C-contiguous 2-D array, or over the first
+    occupied[i] entries of row i; one memoryview serves every row.
 
-    fsum rounds exactly, so each value equals fsum over that sequence's
-    terms taken one at a time.
+    fsum rounds exactly, so each value equals fsum over the same terms
+    taken one at a time, in any order.
     """
-    return [fsum(col.tolist()) for col in terms.T]
+    n, m = rows.shape
+    flat = memoryview(rows.reshape(-1))
+    if occupied is None:
+        occupied = [m] * n
+    return [fsum(flat[lo : lo + k]) for lo, k in zip(range(0, n * m, m), occupied)]
 
 
 def check_sum_ratio(
@@ -191,32 +244,41 @@ def check_sum_ratio(
 
     The recurrence runs over all sequences at once, one step j at a time,
     with the elementwise IEEE operations of the scalar recurrence, so each
-    lhs and rhs keeps its bits; the checks follow the order eps, sequence,
+    lhs and rhs keeps its bits. Per grid point, row k of one terms array
+    holds sequence k's terms; the checks follow the order eps, sequence,
     beta2.
     """
     col = _Collector("sum-ratio", rhs_scale)
     rng = spawn_rng_stream(seed, 101)
-    labels = [("random", i) for i in range(n_random)]
-    # column k holds sequence k: the named sequences first, then the random ones
-    seqs = np.empty((n_len, 5 + n_random))
+    # row k holds sequence k: the named sequences first, then the random ones
+    seqs = np.empty((5 + n_random, n_len))
     for i in range(n_random):
-        seqs[:, 5 + i] = 0.1 + 1.9 * rng.uniform(size=n_len)
+        seqs[5 + i] = 0.1 + 1.9 * rng.uniform(size=n_len)
+    n_seq = seqs.shape[0]
     terms = np.empty_like(seqs)
-    for eps in _EPS_GRID:
+    lhs = np.empty((len(_EPS_GRID), n_seq, len(_BETA2_GRID)))
+    rhs = np.empty_like(lhs)
+    for e, eps in enumerate(_EPS_GRID):
         named = _named_positive_sequences(eps, n_len)
-        for k, seq in enumerate(named.values()):
-            seqs[:, k] = seq
-        points = []
-        for beta2 in _BETA2_GRID:
-            b = np.zeros(seqs.shape[1])
-            for j, a_j in enumerate(seqs):
-                b = beta2 * b + a_j
-                terms[j] = a_j / (eps + b)
-            rhs = [math.log1p(b_k / eps) - n_len * math.log(beta2) for b_k in b.tolist()]
-            points.append((beta2, _sequence_fsums(terms), rhs))
-        for k, (name, idx) in enumerate([(name, -1) for name in named] + labels):
-            for beta2, lhs, rhs in points:
-                col.check(lhs[k], rhs[k], sequence=name, index=idx, beta2=beta2, eps=eps, n=n_len)
+        seqs[:5] = list(named.values())
+        for g, beta2 in enumerate(_BETA2_GRID):
+            # column j holds b_j until the division turns it into a_j/(eps+b_j)
+            b = np.zeros(n_seq)
+            for j in range(n_len):
+                b = np.multiply(b, beta2, out=terms[:, j])
+                b += seqs[:, j]
+            rhs[e, :, g] = [math.log1p(b_k / eps) - n_len * math.log(beta2) for b_k in b.tolist()]
+            terms += eps
+            np.divide(seqs, terms, out=terms)
+            lhs[e, :, g] = _row_fsums(terms)
+    del seqs, terms  # before the checks' temporaries
+    labels = [(name, -1) for name in named] + [("random", i) for i in range(n_random)]
+
+    def params_at(e: int, k: int, g: int) -> dict:
+        name, idx = labels[k]
+        return dict(sequence=name, index=idx, beta2=_BETA2_GRID[g], eps=_EPS_GRID[e], n=n_len)
+
+    col.check_many(lhs, rhs, params_at)
     return col.done()
 
 
@@ -226,41 +288,52 @@ def check_sum_ratio_momentum(
     """Momentum form: with b_n = sum beta2^(n-j) a_j^2 and c_n = sum beta1^(n-j) a_j,
     sum_j c_j^2/(eps+b_j) <= (ln(1+b_n/eps) - n ln(beta2)) / ((1-beta1)(1-beta1/beta2)).
 
-    Vectorised over the sequences like check_sum_ratio; the checks follow
-    the order sequence, (beta1, beta2), eps.
+    Vectorised over the sequences like check_sum_ratio, one grid point at
+    a time; the checks follow the order sequence, (beta1, beta2), eps.
     """
     col = _Collector("sum-ratio-momentum", rhs_scale)
     rng = spawn_rng_stream(seed, 102)
     n = n_len
     labels = [("normals", i) for i in range(n_random)]
     labels += [("alternating", -1), ("ones", -1), ("ramp-signed", -1)]
-    # column k holds sequence k, in the order of labels
-    seqs = np.empty((n, n_random + 3))
+    # row k holds sequence k, in the order of labels
+    seqs = np.empty((n_random + 3, n))
     for i in range(n_random):
-        seqs[:, i] = rng.standard_normal(n)
-    seqs[:, n_random] = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
-    seqs[:, n_random + 1] = 1.0
-    seqs[:, n_random + 2] = np.linspace(-2.0, 2.0, n)
+        seqs[i] = rng.standard_normal(n)
+    seqs[n_random] = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
+    seqs[n_random + 1] = 1.0
+    seqs[n_random + 2] = np.linspace(-2.0, 2.0, n)
+    n_seq = seqs.shape[0]
     terms = np.empty_like(seqs)
-    points = []
-    for beta1, beta2 in _MOMENTUM_GRID:
+    b, c, tmp = np.empty(n_seq), np.empty(n_seq), np.empty(n_seq)
+    lhs = np.empty((n_seq, len(_MOMENTUM_GRID), len(_EPS_GRID)))
+    rhs = np.empty_like(lhs)
+    for p, (beta1, beta2) in enumerate(_MOMENTUM_GRID):
         factor = 1.0 / ((1.0 - beta1) * (1.0 - beta1 / beta2))
-        for eps in _EPS_GRID:
-            b = np.zeros(seqs.shape[1])
-            c = np.zeros(seqs.shape[1])
-            for j, a_j in enumerate(seqs):
-                b = beta2 * b + a_j * a_j
-                c = beta1 * c + a_j
-                terms[j] = c * c / (eps + b)
-            rhs = [
+        for e, eps in enumerate(_EPS_GRID):
+            b.fill(0.0)
+            c.fill(0.0)
+            for j in range(n):
+                a_j = seqs[:, j]
+                b *= beta2
+                b += np.multiply(a_j, a_j, out=tmp)
+                c *= beta1
+                c += a_j
+                cc = np.multiply(c, c, out=terms[:, j])
+                np.divide(cc, np.add(b, eps, out=tmp), out=cc)
+            rhs[:, p, e] = [
                 factor * (math.log1p(b_k / eps) - n * math.log(beta2)) for b_k in b.tolist()
             ]
-            points.append((beta1, beta2, eps, _sequence_fsums(terms), rhs))
-    for k, (name, idx) in enumerate(labels):
-        for beta1, beta2, eps, lhs, rhs in points:
-            col.check(
-                lhs[k], rhs[k], sequence=name, index=idx, beta1=beta1, beta2=beta2, eps=eps, n=n
-            )
+            lhs[:, p, e] = _row_fsums(terms)
+    del seqs, terms  # before the checks' temporaries
+
+    def params_at(k: int, p: int, e: int) -> dict:
+        (name, idx), (beta1, beta2) = labels[k], _MOMENTUM_GRID[p]
+        return dict(
+            sequence=name, index=idx, beta1=beta1, beta2=beta2, eps=_EPS_GRID[e], n=n
+        )
+
+    col.check_many(lhs, rhs, params_at)
     return col.done()
 
 
@@ -269,35 +342,58 @@ def _quad_zmax(a: float, b: float, c: float) -> float:
     return (c * b * b + math.sqrt(c * c * b**4 + 4.0 * a * b * b)) / 2.0
 
 
+def _check_quad_points(col: _Collector, a, b, c, z, case: str, start=None) -> None:
+    """Check Z <= c b^2 + b sqrt(a) at the points of the arrays where the
+    hypothesis cZ + a > 0, Z / sqrt(cZ + a) <= b holds; point k's index
+    param is start + k, or -1 without a start.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        denom = c * z + a
+        # a nan denominator fails neither test, as in one point's scalar check
+        kept = np.flatnonzero(~((denom <= 0.0) | (z / np.sqrt(denom) > b)))
+    a, b, c, z = a[kept], b[kept], c[kept], z[kept]
+
+    def params_at(i: int) -> dict:
+        index = -1 if start is None else start + int(kept[i])
+        return dict(
+            a=float(a[i]), b=float(b[i]), c=float(c[i]), Z=float(z[i]), case=case, index=index
+        )
+
+    col.check_many(z, c * b * b + b * np.sqrt(a), params_at)
+
+
+# random points of check_quadratic per block, which bounds its temporaries
+_QUAD_BLOCK = 512
+
+
 def check_quadratic(
     rhs_scale: float = 1.0, n_random: int = 10_000, seed: int = 0
 ) -> LemmaCheckResult:
-    """If Z >= 0 and Z / sqrt(cZ + a) <= b then Z <= c b^2 + b sqrt(a)."""
+    """If Z >= 0 and Z / sqrt(cZ + a) <= b then Z <= c b^2 + b sqrt(a).
+
+    Probes Z = s * Zmax(a, b, c) on a grid, then at seeded random points;
+    only the probes where the hypothesis holds are checked, grid first, in
+    order. Zmax stays scalar Python: numpy's power may differ from pow in
+    the last bit.
+    """
     col = _Collector("quadratic-root", rhs_scale)
-
-    def probe(a, b, c, z, tag, idx=-1):
-        denom = c * z + a
-        if denom <= 0.0:
-            return
-        if z / math.sqrt(denom) > b:  # hypothesis must hold before testing
-            return
-        col.check(z, c * b * b + b * math.sqrt(a), a=a, b=b, c=c, Z=z, case=tag, index=idx)
-
     grid = (0.0, 1e-3, 0.1, 1.0, 10.0, 1e3)
-    for a in grid:
-        for b in grid:
-            for c in grid:
-                if a == 0.0 and c == 0.0:
-                    continue
-                zmax = _quad_zmax(a, b, c)
-                for s in (0.0, 0.25, 0.5, 0.75, 1.0):
-                    probe(a, b, c, s * zmax, "grid")
+    fracs = (0.0, 0.25, 0.5, 0.75, 1.0)
+    abc = [(a, b, c) for a in grid for b in grid for c in grid if a != 0.0 or c != 0.0]
+    z = np.multiply.outer([_quad_zmax(*p) for p in abc], fracs).ravel()
+    a, b, c = np.repeat(abc, len(fracs), axis=0).T
+    _check_quad_points(col, a, b, c, z, "grid")
+
     rng = spawn_rng_stream(seed, 103)
-    exps = rng.uniform(-4.0, 3.0, size=(n_random, 3))
+    abc = rng.uniform(-4.0, 3.0, size=(n_random, 3))
+    np.power(10.0, abc, out=abc)
     fracs = rng.uniform(size=n_random)
-    for i in range(n_random):
-        a, b, c = (10.0 ** exps[i]).tolist()
-        probe(a, b, c, fracs[i] * _quad_zmax(a, b, c), "random", i)
+    for lo in range(0, n_random, _QUAD_BLOCK):
+        a, b, c = abc[lo : lo + _QUAD_BLOCK].T
+        zmax = map(_quad_zmax, memoryview(a), memoryview(b), memoryview(c))
+        z = np.fromiter(zmax, float, count=a.size)
+        z *= fracs[lo : lo + _QUAD_BLOCK]
+        _check_quad_points(col, a, b, c, z, "random", start=lo)
     return col.done()
 
 
@@ -309,13 +405,17 @@ def check_objective_drift(
     S_t(x) = (1/W)(alpha^0 ell_t(x) + sum_{r>=1} alpha^r ell_{t-r}(x_{t-r}));
     checks S_{t+1}(x_{t+1}) - S_t(x_{t+1}) and S_t(x_t) - S_{t+1}(x_{t+1})
     against their closed-form bound 2D, D the stream's amplitude, for every
-    t < T.
+    t < T. Row t-1 of a (T, min(w, T)) matrix of the products
+    alpha^r ell_{t-r} holds the terms of W S_t(x_t) in its first min(t, w)
+    entries; a copy whose newest column holds the next-iterate losses gives
+    W S_t(x_{t+1}).
     """
     stream = trace.stream
     if stream is None:
         raise ConfigError("trace has no stream attached; cannot rebuild round losses")
     # ell_t(x_{t+1}) for t = 1..T-1, row t-1: round t's loss at the next iterate
-    A, B = stream.params_upto(trace.horizon)
+    T = trace.horizon
+    A, B = stream.params_upto(T)
     with np.errstate(over="ignore", invalid="ignore"):
         next_losses = np.reshape(
             sine_round_rows(A[:-1], B[:-1], trace.iterates[1:], stream.amplitude, trace.theta)[3],
@@ -325,36 +425,27 @@ def check_objective_drift(
             # a nan loss means a non-finite sine argument; round t's loss raises it
             t = int(np.flatnonzero(~np.isfinite(next_losses))[0]) + 1
             RoundLoss(stream.task(t), trace.theta).loss(trace.iterates[t])
-    next_losses = next_losses.tolist()
     col = _Collector("objective-drift", rhs_scale)
     W = weight_sum_W(alpha, w)
-    weights = alpha_weights(alpha, w)
-    losses = trace.losses
+    m = min(w, T)
+    weights = alpha_weights(alpha, w)[:m]
+    # [t-1, r] = ell_{t-r}(x_{t-r}), zero where t - r < 1
+    lagged = sliding_window_view(np.concatenate((np.zeros(m - 1), trace.losses)), m)[:, ::-1]
+    here = np.multiply(lagged, weights, out=np.empty((T, m)))
+    there = here[:-1].copy()
+    there[:, 0] = weights[0] * next_losses
+    occupied = [min(t, w) for t in range(1, T + 1)]
+    # fsum rounds exactly, so the order of a row's terms does not matter
+    s_here = np.array(_row_fsums(here, occupied)) / W
+    s_there = np.array(_row_fsums(there, occupied)) / W
     # Both bounds are exactly 2D. The forward one, D(1 + alpha^(w-1))/W
     # + D(1 + alpha)(1 - alpha^(w-1))/((1 - alpha)W), reduces to it since
     # (1 + alpha^(w-1))(1 - alpha) + (1 + alpha)(1 - alpha^(w-1)) = 2(1 - alpha^w).
     bound = 2.0 * stream.constants().D
-
-    def older_terms(t: int) -> list:
-        """alpha^r ell_{t-r}(x_{t-r}) for 1 <= r < min(t, w), the part of
-        S_t that does not depend on the point of its newest loss."""
-        occ = min(t, w)
-        return (weights[1:occ] * losses[t - 2 :: -1][: occ - 1]).tolist()
-
-    def window_sum(older: list, newest: float) -> float:
-        # fsum rounds exactly, so the order of its terms does not matter
-        return fsum([weights[0] * newest, *older]) / W
-
-    older = older_terms(1)
-    s_t_here = window_sum(older, losses[0])
-    for t in range(1, trace.horizon):
-        older_next = older_terms(t + 1)
-        s_t_next = window_sum(older, next_losses[t - 1])
-        s_next = window_sum(older_next, losses[t])
-        col.check(s_next - s_t_next, bound, t=t, seed=trace.seed, side="forward")
-        col.check(s_t_here - s_next, bound, t=t, seed=trace.seed, side="backward")
-        # S_{t+1}(x_{t+1}) is the next round's S_t(x_t)
-        older, s_t_here = older_next, s_next
+    # per t, forward then backward; S_{t+1}(x_{t+1}) is the next round's S_t(x_t)
+    lhs = np.stack((s_here[1:] - s_there, s_here[:-1] - s_here[1:]), axis=1)
+    sides = ("forward", "backward")
+    col.check_many(lhs, bound, lambda i, j: dict(t=i + 1, seed=trace.seed, side=sides[j]))
     return col.done()
 
 

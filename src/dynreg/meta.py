@@ -264,6 +264,16 @@ class RunTrace:
             if not np.all(np.isfinite(arr)):
                 raise NumericError(f"{name} contains non-finite entries")
 
+    @classmethod
+    def _unchecked(cls, **fields) -> "RunTrace":
+        """A trace built without __post_init__'s checks, for arrays whose
+        shapes and finiteness the caller has already made sure of: the array
+        loop fills each array at its shape, and its per-round finiteness
+        check refuses every non-finite entry."""
+        trace = cls.__new__(cls)
+        trace.__dict__.update(fields)
+        return trace
+
 
 def _snapshot(stream, horizon, inner, opt, seed, x0) -> dict:
     noise = stream.noise
@@ -362,7 +372,7 @@ def run_streams(
     with np.errstate(over="ignore", invalid="ignore"):
         arrays = _play_sine_streams(streams, horizon, inner, opt, seeds, x0)
     return [
-        RunTrace(
+        RunTrace._unchecked(
             seed=seed,
             horizon=horizon,
             dim=stream.dim,

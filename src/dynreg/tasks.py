@@ -398,15 +398,22 @@ class SineStream:
         # per new segment: dim normals for the direction step, then one for the phase
         Z = self._gen.standard_normal((new, self.dim + 1))
         U = np.empty((new + 1, self.dim))
-        U[0] = u = self._u
-        step = self.step / math.sqrt(self.dim)
-        for k, z in enumerate(Z[:, :-1], 1):
-            U[k] = u = _unit(u + step * z)
+        U[0] = self._u
+        # u_k = _unit(u_{k-1} + step z_k), each row built in place
+        steps = (self.step / math.sqrt(self.dim)) * Z[:, :-1]
+        for u, sz, u_new in zip(U[:-1], steps, U[1:]):
+            np.add(u, sz, out=u_new)
+            n = math.sqrt(float(u_new.dot(u_new)))
+            if n == 0.0:  # pragma: no cover - probability zero
+                u_new[:] = _unit(u_new)
+            else:
+                u_new /= n
         # the phase walk b_k = b_{k-1} + step * phi_k, accumulated in order
         phases = np.add.accumulate(np.concatenate(([self._b], self.step * Z[:, -1])))
         A[lo:] = (self.freq_scale * U)[seg]
         B[lo:] = phases[seg]
-        self._u, self._b, self._segment = u, float(phases[-1]), k0 + new
+        # a copy of the last row, so the walk state does not keep U alive
+        self._u, self._b, self._segment = U[-1].copy(), float(phases[-1]), k0 + new
 
     def params_upto(self, rounds: int):
         """Direction and phase arrays for rounds 1..rounds (rows 0..rounds-1)."""

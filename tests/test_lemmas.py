@@ -3,6 +3,7 @@
 import json
 import math
 import sys
+import tracemalloc
 from math import fsum
 
 import numpy as np
@@ -40,6 +41,10 @@ from dynreg.lemmas import (
     _drift_config,
     _merge,
     _named_positive_sequences,
+    _quad_zmax,
+    check_geom_32_sum,
+    check_geom_sqrt_sum,
+    check_inv_sqrt_geom,
     check_objective_drift,
     check_quadratic,
     check_sum_ratio,
@@ -301,6 +306,66 @@ def _scalar_sum_ratio_momentum(rhs_scale, n_random, n_len, seed):
     return col.done()
 
 
+def _scalar_prefix(lemma_id, term, rhs_of, rhs_scale):
+    col = _Collector(lemma_id, rhs_scale)
+    for a in (0.01, 0.05, 0.1, 0.2, 0.3, 0.5, 0.7, 0.8, 0.9, 0.95, 0.99):
+        terms = [term(a, q) for q in range(1024)]
+        for Q in (1, 2, 3, 4, 6, 8, 12, 16, 24, 32, 48, 64, 96, 128, 256, 512, 1024):
+            col.check(fsum(terms[:Q]), rhs_of(a), a=a, Q=Q)
+    return col.done()
+
+
+_SCALAR_PREFIX_SWEEPS = (
+    (
+        check_geom_sqrt_sum,
+        "geom-sqrt-sum",
+        lambda a, q: a**q * math.sqrt(q + 1.0),
+        lambda a: 2.0 / (1.0 - a) ** 1.5,
+    ),
+    (
+        check_geom_32_sum,
+        "geom-three-halves-sum",
+        lambda a, q: a**q * math.sqrt(q) * (q + 1.0),
+        lambda a: 4.0 * a / (1.0 - a) ** 2.5,
+    ),
+    (
+        check_inv_sqrt_geom,
+        "inv-sqrt-geom",
+        lambda a, q: a**q / math.sqrt(q + 1.0),
+        lambda a: 2.0 / (a * math.sqrt(1.0 - a)),
+    ),
+)
+
+
+def _scalar_quadratic(rhs_scale, n_random, seed):
+    col = _Collector("quadratic-root", rhs_scale)
+
+    def probe(a, b, c, z, tag, idx=-1):
+        denom = c * z + a
+        if denom <= 0.0:
+            return
+        if z / math.sqrt(denom) > b:  # hypothesis must hold before testing
+            return
+        col.check(z, c * b * b + b * math.sqrt(a), a=a, b=b, c=c, Z=z, case=tag, index=idx)
+
+    grid = (0.0, 1e-3, 0.1, 1.0, 10.0, 1e3)
+    for a in grid:
+        for b in grid:
+            for c in grid:
+                if a == 0.0 and c == 0.0:
+                    continue
+                zmax = _quad_zmax(a, b, c)
+                for s in (0.0, 0.25, 0.5, 0.75, 1.0):
+                    probe(a, b, c, s * zmax, "grid")
+    rng = spawn_rng_stream(seed, 103)
+    exps = rng.uniform(-4.0, 3.0, size=(n_random, 3))
+    fracs = rng.uniform(size=n_random)
+    for i in range(n_random):
+        a, b, c = (10.0 ** exps[i]).tolist()
+        probe(a, b, c, float(fracs[i] * _quad_zmax(a, b, c)), "random", i)
+    return col.done()
+
+
 def _scalar_objective_drift(trace, w, alpha, rhs_scale):
     stream = trace.stream
     D = stream.constants().D
@@ -330,8 +395,10 @@ def _assert_same_sweep(got, want):
     assert got.grid_size == want.grid_size
     assert got.max_slack.hex() == want.max_slack.hex()
     assert got.tightest == want.tightest
-    assert got.to_record()["violations"] == want.to_record()["violations"]
-    assert len(got.violations) == len(want.violations)
+    assert got.violations == want.violations
+    # the params keep their Python types
+    for point in [got.tightest or {}] + [v.params for v in got.violations]:
+        assert {type(v) for v in point.values()} <= {int, float, str}
 
 
 @pytest.fixture(scope="module")
@@ -360,6 +427,11 @@ def test_vectorised_sweeps_equal_the_scalar_loops_bit_for_bit(rhs_scale, drift_t
             _scalar_sum_ratio_momentum(rhs_scale, **size),
         ),
     ]
+    for sweep, lemma_id, term, rhs_of in _SCALAR_PREFIX_SWEEPS:
+        pairs.append((sweep(rhs_scale), _scalar_prefix(lemma_id, term, rhs_of, rhs_scale)))
+    # 2500 random points span five blocks, the last one partial
+    quad = {"n_random": 2500, "seed": 5}
+    pairs.append((check_quadratic(rhs_scale, **quad), _scalar_quadratic(rhs_scale, **quad)))
     for trace, w, alpha in drift_traces:
         pairs.append(
             (
@@ -371,3 +443,75 @@ def test_vectorised_sweeps_equal_the_scalar_loops_bit_for_bit(rhs_scale, drift_t
         _assert_same_sweep(got, want)
         # the corrupted scale must compare non-empty violation lists
         assert got.passed == (rhs_scale == 1.0)
+
+
+_NAN, _INF = math.nan, math.inf
+# (lhs, rhs) of crafted sweeps; their slacks are rhs * rhs_scale - lhs
+_CHECK_MANY_CASES = {
+    "nan": ([1.0, _NAN, 0.5, _NAN, 3.0], [2.0, 2.0, _NAN, 0.0, 1.0]),
+    "all-nan": ([_NAN, 1.0], [1.0, _NAN]),
+    # slacks 0.0, -0.0, 0.0 and -0.0, 0.0: the first zero wins, with its sign
+    "zero-then-negative-zero": ([0.0, 0.0, -0.0], [0.0, -0.0, 0.0]),
+    "negative-zero-then-zero": ([0.0, 0.0], [-0.0, 0.0]),
+    "repeated-minimum": ([0.0, 1.0, 0.5, 1.0, 1.0], [2.0, 2.0, 2.0, 2.0, 2.0]),
+    # slacks nan, inf, -inf (no violation: its tolerance is -inf too), -inf
+    "inf": ([_INF, -_INF, 1.0, _INF, 0.0], [_INF, 1.0, -_INF, 1.0, _INF]),
+    "interleaved": ([0.0, 3.0, 0.0, 3.0, 0.0, 5.0, 1.0], [1.0] * 7),
+    # inside and outside the tolerance 1e-9 max(1, |rhs|)
+    "tolerance": ([1.0 + 1e-10, 1e10 + 1.0, 1e10 + 100.0, 2.0], [1.0, 1e10, 1e10, 1.0]),
+    "near-overflow": ([1e308, 0.0], [1.7e308, 1.7e308]),
+    "scalar-rhs": ([0.5, 1.5, 1.0], 1.0),
+    "empty": ([], []),
+}
+
+
+def _checked_in_a_loop(col, part, lhs, rhs):
+    for i, (l, r) in enumerate(zip(lhs, np.broadcast_to(rhs, np.shape(lhs)).tolist())):
+        col.check(l, r, part=part, i=i)
+
+
+@pytest.mark.parametrize("rhs_scale", [1.0, 0.5, 10.0])
+@pytest.mark.parametrize("case", [*_CHECK_MANY_CASES, "all-in-one-collector"])
+def test_check_many_makes_the_decisions_of_a_loop_of_check(case, rhs_scale):
+    cases = _CHECK_MANY_CASES if case == "all-in-one-collector" else {case: _CHECK_MANY_CASES[case]}
+    got, want = _Collector("x", rhs_scale), _Collector("x", rhs_scale)
+    built = []
+
+    for part, (lhs, rhs) in cases.items():
+
+        def params_at(i, part=part):
+            built.append(i)
+            return {"part": part, "i": i}
+
+        got.check_many(np.array(lhs, dtype=float), rhs, params_at)
+        _checked_in_a_loop(want, part, lhs, rhs)
+    got, want = got.done(), want.done()
+    _assert_same_sweep(got, want)
+    # params are built only for the points that become tightest and the violations
+    assert len(built) <= len(cases) + len(got.violations)
+
+
+# tracemalloc peaks of the scalar-loop sweeps, in MiB. The array sweeps may
+# take a quarter more, which stacking the 15 momentum grid points (5.8 MiB
+# of terms) or holding every quadratic probe's temporaries at once (1.9
+# MiB) would exceed. The objective-drift figure is the widest drift
+# config's: its 20 checks run on the batch's traces, after run_streams.
+_SCALAR_SWEEP_PEAKS_MIB = {
+    "sum-ratio": (0.87, check_sum_ratio),
+    "sum-ratio-momentum": (1.03, check_sum_ratio_momentum),
+    "quadratic-root": (0.31, check_quadratic),
+    "objective-drift": (2.58, lambda: _drift_config(1.0, *_DRIFT_CONFIGS[-1])),
+}
+
+
+@pytest.mark.parametrize("lemma_id", _SCALAR_SWEEP_PEAKS_MIB)
+def test_lemma_sweeps_keep_the_memory_of_the_scalar_loops(lemma_id):
+    mib, sweep = _SCALAR_SWEEP_PEAKS_MIB[lemma_id]
+    sweep()  # first-use imports and caches
+    tracemalloc.start()
+    try:
+        sweep()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * mib * 2**20

@@ -227,6 +227,8 @@ def test_run_streams_equals_one_run_stream_per_run(case):
         assert trace.config == ref.config
         for name in TRACE_ARRAYS:
             assert np.array_equal(getattr(trace, name), getattr(ref, name)), name
+        # the loop builds its traces without RunTrace's checks; each passes them
+        assert vars(RunTrace(**vars(trace))) == vars(trace)
 
 
 # every noise law and preset, alpha < 1 and alpha = 1, for the noise blocks

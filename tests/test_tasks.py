@@ -254,14 +254,28 @@ def test_streams_grow_in_place(family, monkeypatch):
 
 
 def test_fresh_stream_generates_only_the_rows_read(monkeypatch):
-    # a 16-round read normalises the start direction and 15 steps, and
-    # generates no rows beyond the 16 it returns
-    calls = []
-    real_unit = tasks._unit
-    monkeypatch.setattr(tasks, "_unit", lambda v: calls.append(1) or real_unit(v))
-    A, B = make_drifting_sine_stream(dim=5, drift_rate=0.05, seed=0).params_upto(16)
-    assert len(calls) == 16
+    # a 16-round read draws the start direction and 15 steps, and generates
+    # no rows beyond the 16 it returns
+    draws = []
+
+    class Recorder:
+        def __init__(self, gen):
+            self.gen = gen
+
+        def standard_normal(self, shape):
+            draws.append(shape)
+            return self.gen.standard_normal(shape)
+
+        def uniform(self, lo, hi):
+            return self.gen.uniform(lo, hi)
+
+    spawn = tasks.spawn_rng_stream
+    monkeypatch.setattr(tasks, "spawn_rng_stream", lambda *key: Recorder(spawn(*key)))
+    stream = make_drifting_sine_stream(dim=5, drift_rate=0.05, seed=0)
+    A, B = stream.params_upto(16)
+    assert draws == [5, (15, 6)]
     assert A.shape == (16, 5)
+    assert stream._B.size == 16
 
 
 @pytest.mark.parametrize("dim", [1, 4, 10, 40])
