@@ -408,7 +408,8 @@ def check_objective_drift(
     t < T. Row t-1 of a (T, min(w, T)) matrix of the products
     alpha^r ell_{t-r} holds the terms of W S_t(x_t) in its first min(t, w)
     entries; a copy whose newest column holds the next-iterate losses gives
-    W S_t(x_{t+1}).
+    W S_t(x_{t+1}). Every point's params name its window and alpha, so the
+    points of several configs stay apart.
     """
     stream = trace.stream
     if stream is None:
@@ -428,7 +429,7 @@ def check_objective_drift(
     col = _Collector("objective-drift", rhs_scale)
     W = weight_sum_W(alpha, w)
     m = min(w, T)
-    weights = alpha_weights(alpha, w)[:m]
+    weights = alpha_weights(alpha, m)
     # [t-1, r] = ell_{t-r}(x_{t-r}), zero where t - r < 1
     lagged = sliding_window_view(np.concatenate((np.zeros(m - 1), trace.losses)), m)[:, ::-1]
     here = np.multiply(lagged, weights, out=np.empty((T, m)))
@@ -445,7 +446,10 @@ def check_objective_drift(
     # per t, forward then backward; S_{t+1}(x_{t+1}) is the next round's S_t(x_t)
     lhs = np.stack((s_here[1:] - s_there, s_here[:-1] - s_here[1:]), axis=1)
     sides = ("forward", "backward")
-    col.check_many(lhs, bound, lambda i, j: dict(t=i + 1, seed=trace.seed, side=sides[j]))
+    config = dict(window=int(w), alpha=float(alpha))
+    col.check_many(
+        lhs, bound, lambda i, j: dict(config, t=i + 1, seed=trace.seed, side=sides[j])
+    )
     return col.done()
 
 
@@ -484,13 +488,8 @@ def _drift_config(rhs_scale: float, w: int, alpha: float, n_seeds: int, horizon:
         for s in seeds
     ]
     opt = make_config_adagrad(eta=0.2, alpha=alpha, window=w)
-    parts = []
-    for trace in run_streams(streams, horizon, InnerAdaptConfig(theta=0.05), opt, seeds):
-        part = check_objective_drift(trace, w, alpha, rhs_scale=rhs_scale)
-        # a drift check's own params do not say which config it ran
-        part.tightest = {"window": w, "alpha": alpha, **part.tightest}
-        parts.append(part)
-    return parts
+    traces = run_streams(streams, horizon, InnerAdaptConfig(theta=0.05), opt, seeds)
+    return [check_objective_drift(trace, w, alpha, rhs_scale=rhs_scale) for trace in traces]
 
 
 def _drift_suite(rhs_scale: float) -> LemmaCheckResult:

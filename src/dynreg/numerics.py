@@ -141,20 +141,15 @@ class RngStream:
         self._gen = np.random.Generator(np.random.Philox(key=key))
         self._state = None
 
-    def rekey(self, stream_id: int, seed=None) -> "RngStream":
+    def _set_key(self, stream_id: int, seed: int) -> "RngStream":
         """Switch in place to the stream (seed, stream_id); returns self.
 
-        seed defaults to the stream's own. Resets the Philox counter, its
-        output buffer and its cached uint32, so the draws that follow equal
-        those of a fresh spawn_rng_stream(seed, stream_id), at a fraction of
-        its cost, so one generator can serve many seeds in turn.
+        Unchecked: stream_id and seed are integers in [0, 2^64), for loops
+        whose keys were checked once up front. Resets the Philox counter,
+        its output buffer and its cached uint32, so the draws that follow
+        equal those of a fresh spawn_rng_stream(seed, stream_id), at a
+        fraction of its cost, so one generator can serve many keys in turn.
         """
-        sid = _check_key_part("stream_id", stream_id)
-        return self._set_key(sid, self.seed if seed is None else _check_key_part("seed", seed))
-
-    def _set_key(self, stream_id: int, seed: int) -> "RngStream":
-        """rekey's switch, unchecked: stream_id and seed are integers in
-        [0, 2^64). For loops whose keys were checked once up front."""
         if self._state is None:  # built on first use: most streams are never re-keyed
             self._state = {
                 "bit_generator": "Philox",

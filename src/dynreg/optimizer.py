@@ -169,20 +169,21 @@ def alpha_weights(alpha: float, window: int) -> np.ndarray:
     return alpha ** np.arange(window, dtype=np.float64)
 
 
-def _weighted_row_sum(alpha: float, weights: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """sum_r weights[r] rows[r], adding the rows in turn, newest first.
+def _weighted_row_sum(alpha: float, rows: np.ndarray) -> np.ndarray:
+    """sum_r alpha^r rows[r], adding the rows in turn, newest first.
 
-    weights holds alpha^r in row r, as a column or once per entry of rows.
-    numpy reduces a block of rows one row at a time but a lone column
-    pairwise, so a one-column block is accumulated instead; adding 0.0
-    matches the reduction, which starts from +0.0, also in the sign of a
-    zero. Each column then sums to the same bits whatever the block's
-    width or row shape, which lets a window hold runs side by side. At
-    alpha = 1 every weight is exactly 1.0, so each product would be an
-    exact copy of its row, and the products are skipped.
+    The weights alpha^r multiply the rows as a broadcast column. numpy
+    reduces a block of rows one row at a time but a lone column pairwise,
+    so a one-column block is accumulated instead; adding 0.0 matches the
+    reduction, which starts from +0.0, also in the sign of a zero. Each
+    column then sums to the same bits whatever the block's width or row
+    shape, which lets a window hold runs side by side. At alpha = 1 every
+    weight is exactly 1.0, and so is a lone row's alpha^0, so each product
+    would be an exact copy of its row, and the products are skipped.
     """
-    if alpha != 1.0:
-        rows = weights[: len(rows)] * rows
+    if alpha != 1.0 and len(rows) > 1:
+        weights = alpha_weights(alpha, len(rows))
+        rows = weights.reshape(-1, *[1] * (rows.ndim - 1)) * rows
     if rows.size > len(rows):
         return rows.sum(axis=0)
     return np.add.accumulate(rows)[-1] + 0.0
@@ -207,7 +208,7 @@ class SmoothingWindow:
     min(occupied, w) rows move to the ring's end, into a ring of twice the
     rows while it has fewer than 2w. So the window is always the contiguous
     block ring[head:head + occupied], the row a push evicts lies just past
-    it, and the ring and its weights grow with min(t, w), not with w.
+    it, and the ring grows with min(t, w), not with w.
 
     S = sum_r alpha^r g_r is kept as it goes: each push sets
     S <- alpha S + g_new - alpha^w g_evicted, and every w-th push re-sums it
@@ -225,10 +226,6 @@ class SmoothingWindow:
         self.weight_sum = weight_sum_W(alpha, window)
         self.alpha = float(alpha)
         self.window = int(window)
-        # alpha^r in every entry of row r for the lags the ring can hold (at
-        # alpha < 1): numpy multiplies arrays of one shape at a fraction of
-        # the cost of broadcasting a column
-        self._weights: Optional[np.ndarray] = None
         # alpha, alpha^w and W as 0-d arrays, which numpy takes faster than
         # Python floats
         self._alpha, self._evicted_weight, self._W = (
@@ -276,7 +273,7 @@ class SmoothingWindow:
         self._pushes += 1
         if self._pushes % w == 0:
             occ = self._occupied = min(occ + 1, w)
-            self._sum = _weighted_row_sum(alpha, self._weights, ring[head : head + occ])
+            self._sum = _weighted_row_sum(alpha, ring[head : head + occ])
             return
         # ufuncs called with their output in place, the fastest form for rows
         # this short
@@ -298,7 +295,7 @@ class SmoothingWindow:
         """Free the rows above the window and return the new head: at the
         first push allocate the ring, and later move the newest
         min(occupied, w) rows to its end, into a ring of twice the rows (at
-        most 2w) while it has fewer than 2w. The weights grow with it."""
+        most 2w) while it has fewer than 2w."""
         w, ring = self.window, self._ring
         keep = min(self._occupied, w)
         rows = min(2 * w, _FIRST_ROWS if ring is None else 2 * len(ring))
@@ -307,8 +304,6 @@ class SmoothingWindow:
             if keep:
                 grown[rows - keep :] = ring[:keep]
             self._ring = grown
-            if self.alpha != 1.0:
-                self._weights = _entry_weights(self.alpha, min(rows, w), shape)
             if ring is None:
                 self._sum = np.zeros(shape)
         else:
@@ -323,10 +318,8 @@ class SmoothingWindow:
         w, dim = self.window, block.shape[1]
         self._ring = np.empty((2 * w, dim))
         self._ring[w:] = block[::-1]
-        if self.alpha != 1.0:
-            self._weights = _entry_weights(self.alpha, w, (dim,))
         self._head = self._occupied = self._pushes = w
-        self._sum = _weighted_row_sum(self.alpha, self._weights, self._ring[w:])
+        self._sum = _weighted_row_sum(self.alpha, self._ring[w:])
 
     def gradient_matrix(self) -> np.ndarray:
         """Per-slot exact gradients, newest first, shape (occupied, dim).
@@ -369,12 +362,6 @@ class SmoothingWindow:
         out = np.multiply(noise, self._noise_scale, out)
         np.add(out, self._sum, out)
         return np.divide(out, self._W, out)
-
-
-def _entry_weights(alpha: float, n: int, shape: tuple) -> np.ndarray:
-    """alpha^r in every entry of row r < n of rows of the given shape."""
-    column = alpha_weights(alpha, n)[:, None]
-    return np.repeat(column, math.prod(shape), axis=1).reshape(n, *shape)
 
 
 def _window_means(G: np.ndarray, w: int, alpha: float) -> np.ndarray:

@@ -35,7 +35,6 @@ from .optimizer import (
     _sq_weight_sum,
     _weighted_row_sum,
     _window_means,
-    alpha_weights,
     weight_sum_W,
 )
 from .tasks import LossConstants, NoiseModel, _power
@@ -97,7 +96,7 @@ def exact_smoothed_gradient(trace: RunTrace, t: int, w: int, alpha: float) -> np
     occ = min(t, w)
     W = weight_sum_W(alpha, w)
     rows = trace.grads[t - occ : t][::-1]  # newest first
-    return _weighted_row_sum(alpha, alpha_weights(alpha, occ)[:, None], rows) / W
+    return _weighted_row_sum(alpha, rows) / W
 
 
 def dlr_cumulative(trace: RunTrace, w: int, alpha: float) -> RegretLedger:

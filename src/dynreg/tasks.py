@@ -183,8 +183,10 @@ def sine_argument(a: np.ndarray, x: np.ndarray, b: float, t: int) -> float:
     """s = <a, x> + b of round t's sine loss, checked for finiteness.
 
     A large finite x can overflow s, and math.sin/math.cos raise ValueError
-    at inf. The task oracles and the array run loop both compute s here, so
-    they report the overflow as the same NumericError at the same round.
+    at inf. The task oracles compute s here. The array run loop computes it
+    in sine_round_rows, unchecked, and replays a round with a non-finite
+    entry through run_round, whose oracles raise the overflow here, so both
+    loops report it as the same NumericError at the same round.
     """
     s = float(np.dot(a, x)) + b
     if not math.isfinite(s):

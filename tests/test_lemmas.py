@@ -39,6 +39,7 @@ from dynreg.lemmas import (
     _MOMENTUM_GRID,
     _Collector,
     _drift_config,
+    _drift_suite,
     _merge,
     _named_positive_sequences,
     _quad_zmax,
@@ -385,8 +386,9 @@ def _scalar_objective_drift(trace, w, alpha, rhs_scale):
         s_t_here = window_sum(t, losses[t - 1])
         s_t_next = window_sum(t, RoundLoss(stream.task(t), trace.theta).loss(x_next))
         s_next = window_sum(t + 1, losses[t])
-        col.check(s_next - s_t_next, 2.0 * D, t=t, seed=trace.seed, side="forward")
-        col.check(s_t_here - s_next, 2.0 * D, t=t, seed=trace.seed, side="backward")
+        point = dict(window=w, alpha=alpha, t=t, seed=trace.seed)
+        col.check(s_next - s_t_next, 2.0 * D, **point, side="forward")
+        col.check(s_t_here - s_next, 2.0 * D, **point, side="backward")
     return col.done()
 
 
@@ -443,6 +445,39 @@ def test_vectorised_sweeps_equal_the_scalar_loops_bit_for_bit(rhs_scale, drift_t
         _assert_same_sweep(got, want)
         # the corrupted scale must compare non-empty violation lists
         assert got.passed == (rhs_scale == 1.0)
+
+
+def test_every_drift_violation_names_its_config():
+    # the five configs share seeds and rounds, so (seed, t, side) alone
+    # repeats across them
+    res = _drift_suite(SELF_TEST_SCALE)
+    assert res.violations
+    keys = [
+        tuple(v.params[k] for k in ("window", "alpha", "seed", "t", "side"))
+        for v in res.violations
+    ]
+    assert len(set(keys)) == len(keys)
+    assert set(k[:2] for k in keys) == set(c[:2] for c in _DRIFT_CONFIGS)
+    assert list(res.tightest) == ["window", "alpha", "t", "seed", "side"]
+
+
+def test_a_drift_check_wider_than_its_trace_costs_the_trace_only(drift_traces):
+    # alpha^r is built for the min(w, T) lags a row can hold: weights for
+    # all w = 10^6 lags would take 8 MB
+    trace = drift_traces[-1][0]
+
+    def peak(w):
+        check_objective_drift(trace, w, 0.9)  # first-use imports and caches
+        tracemalloc.start()
+        try:
+            check_objective_drift(trace, w, 0.9)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert trace.horizon == 300
+    # a few KiB for the params of a different tightest point
+    assert peak(10**6) <= peak(300) + 16 * 1024
 
 
 _NAN, _INF = math.nan, math.inf

@@ -633,8 +633,8 @@ def test_the_benchmarks_traced_loop_calls_reproduce_run_stream(shape):
 
 @pytest.mark.parametrize("alpha", [1.0, 0.9])
 def test_a_wide_window_costs_memory_for_the_rounds_played_only(alpha):
-    # the window's ring and weights grow with min(t, w): at w = 10^6 a
-    # (2w, d) ring would take 160 MB for a run of 10 rounds
+    # the window's ring grows with min(t, w): at w = 10^6 a (2w, d) ring
+    # would take 160 MB for a run of 10 rounds
     inner = InnerAdaptConfig(theta=0.05)
     opt = make_config_adagrad(eta=0.1, alpha=alpha, window=10**6)
 

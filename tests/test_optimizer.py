@@ -1,6 +1,7 @@
 """Window weighting, smoothed gradient queries, step schedules, the update."""
 
 import math
+import tracemalloc
 from math import fsum
 
 import numpy as np
@@ -27,7 +28,7 @@ from dynreg import (
     step_size_at,
     weight_sum_W,
 )
-from dynreg.optimizer import _weighted_row_sum
+from dynreg.optimizer import _weighted_row_sum, _window_means
 from dynreg.regret import _sq_weight_sum
 
 
@@ -206,10 +207,10 @@ def test_alpha_one_row_sum_equals_the_weighted_sum_bit_for_bit(occ, dim):
     # the weights are exactly 1.0, so the plain sum keeps every bit, also over
     # the newest-first reversed view that exact_smoothed_gradient passes
     G = spawn_rng_stream(0, 3).standard_normal((occ, dim)) * np.logspace(-8, 8, occ)[:, None]
-    weights = alpha_weights(1.0, occ + 2)
+    weights = alpha_weights(1.0, occ)
     for rows in (G, G[::-1]):
-        expected = (weights[:occ, None] * rows).sum(axis=0)
-        assert _weighted_row_sum(1.0, weights[:, None], rows).tobytes() == expected.tobytes()
+        expected = (weights[:, None] * rows).sum(axis=0)
+        assert _weighted_row_sum(1.0, rows).tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("noisy", [False, True])
@@ -277,6 +278,24 @@ def test_running_window_sum_is_the_direct_sum_after_every_wth_push(alpha, w):
         if k % w == 0:
             direct = (weights[:, None] * G[k - w : k][::-1]).sum(axis=0)
             assert win.smoothed().tobytes() == (direct / weight_sum_W(alpha, w)).tobytes()
+
+
+def test_a_window_below_alpha_one_holds_no_more_than_its_rows():
+    # the re-sums build alpha^r where they sum, so a stack of 4 traces of
+    # 1000 rounds at d = 40 and w = 500 costs at alpha = 0.9 what it costs
+    # at alpha = 1; a table of alpha^r per ring entry would add 1.2 MiB
+    G = spawn_rng_stream(0, 5).standard_normal((4, 1000, 40))
+
+    def peak(alpha):
+        _window_means(G, 500, alpha)  # first-use imports and caches
+        tracemalloc.start()
+        try:
+            _window_means(G, 500, alpha)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(0.9) <= peak(1.0) + 256 * 1024
 
 
 def test_smoothed_gradient_short_history_damped():
